@@ -40,9 +40,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.bench.harness import SpeedupResult, compare
+from repro.core.delta import MatrixDelta
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.ml import ServingExport
-from repro.serve import FactorizedScorer
+from repro.serve import FactorizedScorer, ServingSnapshot, ZoneMaps
 from repro.serve.topk import full_scan_top_k
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -63,11 +64,20 @@ TARGET_ENTITY_ROWS = 100_000
 #: majority of blocks and score fewer than half the rows.
 SKIP_MAJORITY = 0.5
 
+#: timing-independent floor: under a stream of 1% deltas, top-k over the
+#: widened zone maps must skip at least this share of the blocks that
+#: freshly built bounds skip on the same snapshot.
+WIDENED_SKIP_FLOOR = 0.9
 
-def _build_skewed_scorer(entity_rows: int, table_rows: int, table_width: int,
-                         outputs: int, block_size: int = 1024,
-                         seed: int = 29) -> FactorizedScorer:
-    """A star-schema scorer whose score mass clusters in few blocks.
+
+def _lognormal_rows(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """Attribute rows with log-normal scale factors: a few dominate the range."""
+    return np.exp(3.0 * rng.standard_normal((rows, 1))) * rng.standard_normal((rows, width))
+
+
+def _skewed_schema(entity_rows: int, table_rows: int, table_width: int,
+                   outputs: int, seed: int = 29):
+    """``(normalized, export)`` of a star schema whose score mass clusters.
 
     Each attribute row gets a log-normal scale factor, so a handful of
     attribute rows dominate the score range; sorting the entity's foreign
@@ -86,13 +96,21 @@ def _build_skewed_scorer(entity_rows: int, table_rows: int, table_width: int,
         (np.ones(entity_rows), (np.arange(entity_rows), codes)),
         shape=(entity_rows, table_rows),
     )
-    scale = np.exp(3.0 * rng.standard_normal((table_rows, 1)))
-    table = scale * rng.standard_normal((table_rows, table_width))
+    table = _lognormal_rows(rng, table_rows, table_width)
     normalized = NormalizedMatrix(entity, [indicator], [table])
     export = ServingExport(
         "linear_regression",
         rng.standard_normal((4 + table_width, outputs)),
     )
+    return normalized, export
+
+
+def _build_skewed_scorer(entity_rows: int, table_rows: int, table_width: int,
+                         outputs: int, block_size: int = 1024,
+                         seed: int = 29) -> FactorizedScorer:
+    """A star-schema scorer whose score mass clusters in few blocks."""
+    normalized, export = _skewed_schema(entity_rows, table_rows, table_width,
+                                        outputs, seed)
     return FactorizedScorer(export, normalized, zone_block_size=block_size)
 
 
@@ -214,6 +232,39 @@ def test_skewed_workload_skips_majority_of_blocks():
         assert stats["pruned"]
         assert stats["blocks_skipped"] > SKIP_MAJORITY * stats["blocks_total"], stats
         assert stats["rows_scored"] < n / 2, stats
+    finally:
+        scorer.close()
+
+
+def test_widened_bounds_keep_pruning_under_delta_stream():
+    """100 1% deltas of fresh log-normal rows: after each one, top-k over the
+    widened zone maps skips >= 90% of the blocks fresh bounds would skip."""
+    normalized, export = _skewed_schema(100_000, 256, 12, 2)
+    scorer = FactorizedScorer(export, normalized)
+    try:
+        table = np.asarray(normalized.attributes[0])
+        rng = np.random.default_rng(31)
+        b = max(1, round(0.01 * table.shape[0]))
+        worst = 1.0
+        for _ in range(100):
+            rows = np.sort(rng.choice(table.shape[0], size=b, replace=False))
+            delta = MatrixDelta.upsert(rows, _lognormal_rows(rng, b, table.shape[1]),
+                                       table)
+            table = np.asarray(delta.apply_to(table))
+            scorer.apply_delta(0, delta)
+            snapshot = scorer.current_snapshot()
+            fresh = ServingSnapshot(snapshot.partials, snapshot.version,
+                                    ZoneMaps.build(snapshot.zones.index,
+                                                   snapshot.partials))
+            widened = scorer.top_k(100, snapshot=snapshot)
+            rebuilt = scorer.top_k(100, snapshot=fresh)
+            np.testing.assert_array_equal(widened.rows, rebuilt.rows)
+            skipped = widened.stats["blocks_skipped"]
+            reference = rebuilt.stats["blocks_skipped"]
+            assert skipped >= WIDENED_SKIP_FLOOR * reference, (skipped, reference)
+            if reference:
+                worst = min(worst, skipped / reference)
+        print(f"worst widened/fresh blocks-skipped ratio: {worst:.3f}")
     finally:
         scorer.close()
 

@@ -43,15 +43,19 @@ Three implementation sets live behind the registry:
   extra (Numba) is installed.  Kernels without a compiled variant fall back to
   the ``"numpy"`` set per kernel.
 
-The active set is process-global: ``REPRO_KERNELS=reference|numpy|numba``
-pins it at import, :func:`set_active` / :func:`using` switch it at runtime,
-and the default is :func:`best_available` (like BLAS, the fastest installed
-implementation wins unless the caller says otherwise).
+The process-wide set is pinned by ``REPRO_KERNELS=reference|numpy|numba``
+at first use, switched by :func:`set_active`, and defaults to
+:func:`best_available` (like BLAS, the fastest installed implementation wins
+unless the caller says otherwise).  :func:`using` overrides it only in the
+current context -- a ``contextvars.ContextVar``, the mechanism obs spans use
+-- so one thread's ``using("reference")`` never reroutes another thread,
+while shard workers, which run in copies of the caller's context, follow it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -507,7 +511,12 @@ _IMPLS: Dict[str, Dict[str, Callable]] = {
     },
 }
 
+#: Process-wide set (``None`` until first resolved).
 _active: Optional[str] = None
+#: Per-context override installed by :func:`using`; ``None`` defers to
+#: :data:`_active`.
+_override: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
+    "repro_kernel_set", default=None)
 
 
 def available_sets() -> Tuple[str, ...]:
@@ -536,8 +545,7 @@ def _validate_set(name: str) -> str:
     return name
 
 
-def active() -> str:
-    """The currently active kernel set name."""
+def _process_active() -> str:
     global _active
     if _active is None:
         pinned = os.environ.get("REPRO_KERNELS", "").strip()
@@ -545,22 +553,34 @@ def active() -> str:
     return _active
 
 
+def active() -> str:
+    """The kernel set active in the current context."""
+    return _override.get() or _active or _process_active()
+
+
 def set_active(name: str) -> str:
-    """Activate one kernel set process-wide; returns the previous one."""
+    """Activate one kernel set process-wide; returns the previous one.
+
+    A :func:`using` block in the current context still takes precedence.
+    """
     global _active
-    previous = active()
+    previous = _process_active()
     _active = _validate_set(name)
     return previous
 
 
 @contextlib.contextmanager
 def using(name: str):
-    """Temporarily activate one kernel set (test/benchmark helper)."""
-    previous = set_active(name)
+    """Activate one kernel set for the current context only.
+
+    Other threads keep their own set; work fanned out through
+    :class:`repro.la.parallel.ParallelExecutor` thread pools inherits it.
+    """
+    token = _override.set(_validate_set(name))
     try:
         yield
     finally:
-        set_active(previous)
+        _override.reset(token)
 
 
 _DISPATCH_TOTAL = obs.REGISTRY.counter(

@@ -229,21 +229,29 @@ class ParallelExecutor:
         items = list(items)
         if len(items) <= 1:
             return [fn(item) for item in items]
+        threaded = self.pool.name == "thread"
         if obs.enabled():
             _FANOUTS_TOTAL.labels(pool=self.pool.name).inc()
             _TASKS_TOTAL.labels(pool=self.pool.name).inc(len(items))
-            if obs.current_span() is not None and self.pool.name == "thread":
-                # Carry the active span into the worker threads so shard-local
-                # work nests under the caller's span.  Each task runs in its
-                # own copy of the captured context (a Context object cannot be
-                # entered concurrently).  Process/executor pools may cross a
-                # pickle boundary, so their shard work stays un-parented.
+            if threaded and obs.current_span() is not None:
                 with obs.span("shard.map", pool=self.pool.name, tasks=len(items)):
-                    ctx = contextvars.copy_context()
-                    return self.pool.map(
-                        lambda item: ctx.copy().run(fn, item), items
-                    )
+                    return self._map_in_context(fn, items)
+        if threaded:
+            return self._map_in_context(fn, items)
         return self.pool.map(fn, items)
+
+    def _map_in_context(self, fn: Callable[[_Item], _Result],
+                        items: List[_Item]) -> List[_Result]:
+        """Run each task in a copy of the caller's context.
+
+        Context variables -- the active obs span, a ``kernels.using()``
+        override -- thereby follow the work into the worker threads.  Each
+        task gets its own copy (a Context object cannot be entered
+        concurrently).  Process/executor pools may cross a pickle boundary,
+        so their shard work runs in the workers' own contexts.
+        """
+        ctx = contextvars.copy_context()
+        return self.pool.map(lambda item: ctx.copy().run(fn, item), items)
 
     def map_reduce(self, fn: Callable[[_Item], _Result], items: Sequence[_Item],
                    reduce_fn: Callable[[List[_Result]], _Result]) -> _Result:

@@ -307,8 +307,11 @@ class FactorizedScorer:
         The ad-hoc counterpart of the per-block bounds: any request keyed to
         *any* attribute row draws each table's contribution from inside these
         intervals, so their sum (plus the entity contribution) bounds every
-        reachable ad-hoc score.  Returns a list of ``(lo, hi)`` floats in
-        table-segment order.
+        reachable ad-hoc score.  The intervals contain every partial row but
+        may be loose: deltas widen them with the changed rows' new values and
+        never shrink them until the table's bounds are next rebuilt exactly
+        (see :meth:`repro.serve.bounds.ZoneMaps.patch_table`).  Returns a
+        list of ``(lo, hi)`` floats in table-segment order.
         """
         output = int(output)
         if not 0 <= output < self.n_outputs:

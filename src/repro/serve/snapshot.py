@@ -97,10 +97,10 @@ class ServingSnapshot:
     :mod:`repro.serve.bounds` -- the scorer builds them for its initial
     snapshot), every successor keeps them consistent with its partials:
     ``with_partial`` rebuilds the swapped table's block bounds from scratch,
-    ``with_patched_partial`` recomputes only the blocks whose entity rows
-    reference a row the delta touched.  Both run inside the writer lock of
-    :meth:`SnapshotManager.swap`, so readers always observe partials and
-    bounds from the *same* state.
+    ``with_patched_partial`` widens only the blocks whose entity rows
+    reference a row the delta touched (see :meth:`ZoneMaps.patch_table`).
+    Both run inside the writer lock of :meth:`SnapshotManager.swap`, so
+    readers always observe partials and bounds from the *same* state.
     """
 
     __slots__ = ("partials", "version", "zones")
@@ -121,11 +121,19 @@ class ServingSnapshot:
     def with_patched_partial(self, table_index: int, delta,
                              weight_slice: np.ndarray) -> "ServingSnapshot":
         """A successor with one partial delta-patched (see :func:`patch_partial`)."""
-        patched = patch_partial(self.partials[table_index], delta, weight_slice)
+        previous = self.partials[table_index]
+        patched = patch_partial(previous, delta, weight_slice)
         partials = list(self.partials)
         partials[table_index] = patched
-        zones = (self.zones.patch_table(table_index, patched, delta.rows)
-                 if self.zones is not None else None)
+        zones = None
+        if self.zones is not None:
+            changed = delta.rows
+            if patched.shape[0] > previous.shape[0]:
+                # Appended positions the delta does not name score zero;
+                # they enter the ad-hoc bounds like any changed row.
+                changed = np.union1d(changed, np.arange(previous.shape[0],
+                                                        patched.shape[0]))
+            zones = self.zones.patch_table(table_index, patched, changed)
         return ServingSnapshot(tuple(partials), self.version + 1, zones)
 
     @property

@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 import json
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.core.normalized_matrix import NormalizedMatrix
 from repro.la import kernels
 from repro.la.chain import ChainedIndicator
 from repro.la.ops import indicator_from_labels
+from repro.la.parallel import ParallelExecutor
 
 ATOL = 1e-10
 
@@ -284,6 +286,39 @@ class TestRegistry:
             with kernels.using("reference"):
                 raise RuntimeError("boom")
         assert kernels.active() == before
+
+    def test_using_is_local_to_its_thread(self):
+        """One thread's using("reference") never reroutes another thread."""
+        default = kernels.active()
+        assert default != "reference"
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def pinned():
+            with kernels.using("reference"):
+                seen["inside"] = kernels._impl("gather_add")
+                entered.set()
+                release.wait(5)
+
+        worker = threading.Thread(target=pinned)
+        worker.start()
+        try:
+            assert entered.wait(5)
+            assert kernels.active() == default
+            assert kernels._impl("gather_add") is kernels._IMPLS[default]["gather_add"]
+        finally:
+            release.set()
+            worker.join(5)
+        assert seen["inside"] is kernels._IMPLS["reference"]["gather_add"]
+        assert kernels.active() == default
+
+    def test_using_reaches_thread_pool_workers(self):
+        executor = ParallelExecutor("thread", default_max_workers=2)
+        with kernels.using("reference"):
+            seen = executor.map(lambda _: kernels.active(), range(4))
+        assert seen == ["reference"] * 4
+        assert executor.map(lambda _: kernels.active(), range(4)) == [
+            kernels.active()] * 4
 
     def test_unknown_set_rejected(self):
         with pytest.raises(Exception):

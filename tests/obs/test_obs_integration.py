@@ -103,6 +103,7 @@ class TestInstrumentedEndToEnd:
             'repro_serve_requests_total{path="batch"}',     # serving
             'repro_serve_topk_blocks_total{',      # top-k
             'repro_serve_updates_total{',          # serving delta
+            'repro_serve_zonemap_patches_total{mode="widen"}',  # zone maps
             'repro_ml_fits_total{',                # estimators
         ):
             assert needle in text, f"missing {needle!r} in exposition:\n{text}"
@@ -137,6 +138,30 @@ class TestInstrumentedEndToEnd:
         model = LinearRegressionGD(engine="auto", max_iter=2).fit(normalized, y)
         assert model.plan_.outcome is not None
         assert "measured:" in model.plan_.explain()
+
+
+class TestZoneMapPatchCounter:
+    def test_one_percent_delta_stream_rebuilds_once_per_hundred_widens(self):
+        """Widened rows add up to the table size every 100 1% deltas, and
+        each time the patch re-tightens with one exact rebuild."""
+        obs.enable()
+        normalized, rng = _star_schema(n_s=4000, n_r=2000, seed=5)
+        attribute = np.asarray(normalized.attributes[0])
+        export = ServingExport("linear_regression",
+                               rng.standard_normal((normalized.logical_cols, 1)))
+        scorer = FactorizedScorer(export, normalized, zone_block_size=128)
+        for _ in range(300):
+            rows = np.sort(rng.choice(attribute.shape[0], size=20, replace=False))
+            delta = MatrixDelta.upsert(
+                rows, rng.standard_normal((20, attribute.shape[1])), attribute)
+            attribute = np.asarray(delta.apply_to(attribute))
+            scorer.apply_delta(0, delta)
+        scorer.close()
+        family = obs.REGISTRY.get("repro_serve_zonemap_patches_total")
+        widens = family.labels(mode="widen").value
+        rebuilds = family.labels(mode="rebuild").value
+        assert (widens, rebuilds) == (297, 3)
+        assert 'repro_serve_zonemap_patches_total{mode="rebuild"}' in obs.to_prometheus()
 
 
 class TestDisabledOverhead:

@@ -51,6 +51,26 @@ def _assert_exact(scorer, k_values=K_GRID, outputs=(0,), snapshot=None):
                         == stats["blocks_total"])
 
 
+def _assert_contains(zones, fresh):
+    """Widened zone maps contain the exact ones built from the same partials."""
+    assert np.all(zones.upper >= fresh.upper)
+    assert np.all(zones.lower <= fresh.lower)
+    for got, want in zip(zones.partial_hi, fresh.partial_hi):
+        assert np.all(got >= want)
+    for got, want in zip(zones.partial_lo, fresh.partial_lo):
+        assert np.all(got <= want)
+
+
+def _assert_tight(zones, fresh):
+    """Zone maps bit-equal to a from-scratch build (after an exact rebuild)."""
+    np.testing.assert_array_equal(zones.upper, fresh.upper)
+    np.testing.assert_array_equal(zones.lower, fresh.lower)
+    for got, want in zip(zones.partial_hi, fresh.partial_hi):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(zones.partial_lo, fresh.partial_lo):
+        np.testing.assert_array_equal(got, want)
+
+
 def _clustered_skewed_scorer(n_s=4096, n_r=64, d_r=5, block_size=128, seed=0,
                              m=2):
     """A star schema with FK locality and a heavy-tailed score distribution."""
@@ -166,6 +186,8 @@ class TestZoneMapConsistency:
         _assert_exact(scorer, outputs=(0, 1))
 
     def test_apply_delta_patches_zone_maps(self):
+        """A delta widens the bounds (sound, maybe loose); once the widened
+        rows reach the table's row count the patch rebuilds them exactly."""
         scorer, normalized = _clustered_skewed_scorer()
         attribute = np.asarray(normalized.attributes[0])
         rng = np.random.default_rng(42)
@@ -175,10 +197,22 @@ class TestZoneMapConsistency:
         scorer.apply_delta(0, delta)
         snapshot = scorer.current_snapshot()
         fresh = ZoneMaps.build(snapshot.zones.index, snapshot.partials)
-        np.testing.assert_array_equal(snapshot.zones.upper, fresh.upper)
-        np.testing.assert_array_equal(snapshot.zones.lower, fresh.lower)
-        for got, want in zip(snapshot.zones.partial_hi, fresh.partial_hi):
-            np.testing.assert_array_equal(got, want)
+        _assert_contains(snapshot.zones, fresh)
+        assert snapshot.zones.widened[0] == 3
+        _assert_exact(scorer, outputs=(0, 1))
+        attribute = np.asarray(delta.apply_to(attribute))
+        # 64 attribute rows: the 22nd three-row delta crosses the count.
+        for step in range(21):
+            rows = np.sort(rng.choice(attribute.shape[0], size=3, replace=False))
+            delta = MatrixDelta.upsert(
+                rows, rng.standard_normal((3, attribute.shape[1])) * 50, attribute)
+            attribute = np.asarray(delta.apply_to(attribute))
+            scorer.apply_delta(0, delta)
+            zones = scorer.current_snapshot().zones
+            assert zones.widened[0] == (0 if step == 20 else 3 * (step + 2))
+        snapshot = scorer.current_snapshot()
+        _assert_tight(snapshot.zones, ZoneMaps.build(snapshot.zones.index,
+                                                     snapshot.partials))
         _assert_exact(scorer, outputs=(0, 1))
 
     def test_growing_delta_keeps_adhoc_bounds_current(self):
@@ -196,11 +230,35 @@ class TestZoneMapConsistency:
         np.testing.assert_array_equal(snapshot.zones.upper, fresh.upper)
         _assert_exact(scorer, outputs=(0, 1))
 
+    def test_gap_append_folds_zero_rows_into_adhoc_bounds(self):
+        """Appended positions a delta skips score zero; the ad-hoc lower
+        bound must drop to zero even when every named row is positive."""
+        n_s, n_r = 256, 8
+        labels = np.sort(np.concatenate([np.arange(n_r), np.zeros(n_s - n_r, dtype=np.int64)]))
+        attribute = np.arange(1.0, 1.0 + 3 * n_r).reshape(n_r, 3)
+        normalized = NormalizedMatrix(None, [indicator_from_labels(labels, num_columns=n_r)],
+                                      [attribute])
+        scorer = FactorizedScorer(ServingExport("linear_regression", np.ones((3, 1))),
+                                  normalized, zone_block_size=32)
+        ((lo, _),) = scorer.partial_score_bounds()
+        assert lo > 0
+        delta = MatrixDelta.upsert(np.array([n_r + 2]), np.full((1, 3), 5.0), attribute)
+        scorer.apply_delta(0, delta)
+        ((lo, hi),) = scorer.partial_score_bounds()
+        partial = scorer.current_snapshot().partials[0][:, 0]
+        assert partial.shape[0] == n_r + 3 and partial[n_r] == 0.0
+        assert lo <= partial.min() and hi >= partial.max()
+
     def test_chained_swaps_and_deltas_stay_consistent(self, rng):
+        """Swaps rebuild exactly; deltas keep the bounds sound in between,
+        including the delta that crosses the amortized exact rebuild."""
         scorer, normalized = _clustered_skewed_scorer(n_s=1024, n_r=32, block_size=64)
         attribute = np.asarray(normalized.attributes[0])
-        for step in range(4):
-            if step % 2:
+        # Four deltas between swaps cover the first ones; the eleven-delta
+        # run at the end crosses 32 widened rows and re-tightens.
+        schedule = ["delta", "swap", "delta", "delta", "swap"] + ["delta"] * 11
+        for action in schedule:
+            if action == "swap":
                 attribute = rng.standard_normal(attribute.shape)
                 scorer.update_table(0, attribute)
             else:
@@ -211,9 +269,12 @@ class TestZoneMapConsistency:
                 scorer.apply_delta(0, delta)
             snapshot = scorer.current_snapshot()
             fresh = ZoneMaps.build(snapshot.zones.index, snapshot.partials)
-            np.testing.assert_array_equal(snapshot.zones.upper, fresh.upper)
-            np.testing.assert_array_equal(snapshot.zones.lower, fresh.lower)
+            if snapshot.zones.widened[0] == 0:
+                _assert_tight(snapshot.zones, fresh)
+            else:
+                _assert_contains(snapshot.zones, fresh)
             _assert_exact(scorer, k_values=(5, 20), outputs=(0,))
+        assert snapshot.zones.widened[0] == 0  # the last delta re-tightened
 
     def test_topk_pinned_snapshot_survives_swap(self, rng):
         """A pinned snapshot keeps answering with its own bounds + partials."""
