@@ -12,8 +12,9 @@ at laptop benchmark scale, and three execution strategies are compared:
   acceptance criterion names: factorized logistic-regression GD under serial
   chunked execution.
 * ``serial-chunked materialized`` -- the materialized join output streamed
-  through :class:`repro.la.chunked.ChunkedMatrix` (the Table-9 "M" setup),
-  reported for context.
+  through the chunked backend, a serial
+  :class:`repro.core.shard.RowPartitioned` (the Table-9 "M" setup), reported
+  for context.
 * ``sharded(k) factorized``      -- ``TN.shard(k, pool="thread")`` for
   ``k`` in ``SHARD_COUNTS``: few large shards dispatched through a thread
   pool.
@@ -35,7 +36,7 @@ import pytest
 from _common import pkfk_dataset
 from repro.bench.harness import SpeedupResult, measure
 from repro.bench.reporting import format_table, print_report
-from repro.la.chunked import ChunkedMatrix
+from repro.la.backend import ChunkedBackend
 from repro.ml import LogisticRegressionGD
 
 TUPLE_RATIO = 20
@@ -73,7 +74,7 @@ def timings(workload):
             normalized.shard(n_chunks, pool="serial"), target
         ),
         "serial-chunked materialized": _fit_time(
-            ChunkedMatrix.from_matrix(dataset.materialized, CHUNK_ROWS), target
+            ChunkedBackend(CHUNK_ROWS).from_dense(dataset.materialized), target
         ),
     }
     for shards in SHARD_COUNTS:

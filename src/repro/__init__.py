@@ -30,7 +30,8 @@ from repro.core import (
     Planner,
     WorkloadDescriptor,
     NormalizedBatchIterator,
-    StreamedMatrix,
+    RowPartitioned,
+    row_apply,
 )
 from repro.core.decision import morpheus_mn
 from repro.ml import (
@@ -42,7 +43,6 @@ from repro.ml import (
     GNMF,
 )
 from repro.relational import Table, read_csv, read_csv_chunks, stream_normalized_batches
-from repro.la import ChunkedMatrix
 from repro.serve import FactorizedScorer, ModelRegistry, ScoringService
 
 __version__ = "1.9.0"
@@ -69,7 +69,8 @@ __all__ = [
     "KMeans",
     "GNMF",
     "NormalizedBatchIterator",
-    "StreamedMatrix",
+    "RowPartitioned",
+    "row_apply",
     "FactorizedScorer",
     "ModelRegistry",
     "ScoringService",
@@ -77,6 +78,5 @@ __all__ = [
     "read_csv",
     "read_csv_chunks",
     "stream_normalized_batches",
-    "ChunkedMatrix",
     "__version__",
 ]

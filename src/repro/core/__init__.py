@@ -15,8 +15,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.cost` -- the arithmetic-operation cost models of Table 3 /
   Table 11.
 * :mod:`repro.core.decision` -- the heuristic decision rule of Section 3.7 /
-  5.1 (one pluggable strategy beside the cost-based one) and the
-  :func:`morpheus` factory that applies it.
+  5.1 and the :func:`morpheus` factory that applies it.
 * :mod:`repro.core.planner` -- the cost-based adaptive execution planner
   behind ``engine="auto"`` and ``NormalizedMatrix.plan()``: machine
   calibration + workload descriptors + Table-3 arithmetic, scored into
@@ -24,10 +23,11 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.lazy` -- deferred-evaluation expression graphs over
   normalized matrices with cross-iteration memoization of join-invariant
   subexpressions (``NormalizedMatrix.lazy()``, :class:`FactorizedCache`).
-* :mod:`repro.core.shard` -- row-sharded parallel execution
-  (``NormalizedMatrix.shard()``, :class:`ShardedMatrix`,
-  :class:`ShardedNormalizedMatrix`) fanning the Table-1 operators out over
-  the worker pools of :mod:`repro.la.parallel`.
+* :mod:`repro.core.shard` -- :class:`RowPartitioned`, the one row-partitioned
+  operand behind sharded (``NormalizedMatrix.shard()``), chunked (ORE
+  ``rowapply``) and streamed (``NormalizedMatrix.stream()``) execution,
+  fanning the Table-1 operators out over the worker pools of
+  :mod:`repro.la.parallel`.
 """
 
 from repro.core.indicator import (
@@ -47,15 +47,7 @@ from repro.core.cost import (
     asymptotic_speedup,
     CostModel,
 )
-from repro.core.decision import (
-    CostBasedStrategy,
-    DecisionRule,
-    ExecutionStrategy,
-    ThresholdStrategy,
-    get_strategy,
-    morpheus,
-    should_factorize,
-)
+from repro.core.decision import DecisionRule, morpheus, should_factorize
 from repro.core.lazy import FactorizedCache, LazyExpr, as_lazy, constant, evaluate
 from repro.core.planner import (
     CalibrationProfile,
@@ -63,24 +55,19 @@ from repro.core.planner import (
     Planner,
     WorkloadDescriptor,
 )
-from repro.core.shard import ShardedMatrix, ShardedNormalizedMatrix, shard_bounds
-from repro.core.stream import Batch, NormalizedBatchIterator, StreamedMatrix
+from repro.core.shard import RowPartitioned, row_apply, shard_bounds
+from repro.core.stream import Batch, NormalizedBatchIterator
 
 __all__ = [
     "CalibrationProfile",
-    "CostBasedStrategy",
-    "ExecutionStrategy",
     "Plan",
     "Planner",
-    "ThresholdStrategy",
     "WorkloadDescriptor",
-    "get_strategy",
-    "ShardedMatrix",
-    "ShardedNormalizedMatrix",
+    "RowPartitioned",
+    "row_apply",
     "shard_bounds",
     "Batch",
     "NormalizedBatchIterator",
-    "StreamedMatrix",
     "FactorizedCache",
     "LazyExpr",
     "as_lazy",

@@ -1,4 +1,4 @@
-"""Factorize-or-materialize decision strategies.
+"""Factorize-or-materialize decision rule.
 
 Paper reference: Sections 3.7 and 5.1.  Factorized execution avoids the
 computational redundancy introduced by the join, but when the join introduces
@@ -14,19 +14,13 @@ conservative disjunctive threshold rule tuned on the synthetic sweeps::
 
 with ``tau = 5`` and ``rho = 1``.  This module implements that rule, plus the
 :func:`morpheus` convenience factory that applies it when constructing a data
-matrix from base tables.
-
-The repo generalizes the paper here: the threshold rule is one *strategy*
-among several.  :class:`ThresholdStrategy` wraps the paper rule;
-:class:`CostBasedStrategy` delegates to the calibrated planner of
-:mod:`repro.core.planner`, which also weighs engines, backends and shard
-counts.  :func:`get_strategy` resolves either by name, and :func:`morpheus`
-accepts a ``strategy=`` argument.
+matrix from base tables.  The calibrated cost-based alternative, which also
+weighs engines, backends and shard counts, is ``NormalizedMatrix.plan()``
+(:mod:`repro.core.planner`).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -80,130 +74,21 @@ def should_factorize(tuple_ratio: float, feature_ratio: float,
     return rule.predict(tuple_ratio, feature_ratio)
 
 
-# ---------------------------------------------------------------------------
-# Pluggable strategies
-# ---------------------------------------------------------------------------
-
-class ExecutionStrategy(abc.ABC):
-    """Decides whether a normalized matrix should execute factorized.
-
-    The paper's threshold rule and the repo's cost-based planner implement
-    the same tiny interface, so everything that consumes the decision --
-    the :func:`morpheus` factory, benchmark reports, the ML ``engine="auto"``
-    path -- is agnostic to *how* the decision is made.
-    """
-
-    #: registry name (see :func:`get_strategy`)
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def should_factorize(self, normalized: NormalizedMatrix) -> bool:
-        """True when the factorized execution of *normalized* is predicted to win."""
-
-    @abc.abstractmethod
-    def explain(self, normalized: NormalizedMatrix) -> str:
-        """Human-readable account of the decision."""
-
-
-class ThresholdStrategy(ExecutionStrategy):
-    """The paper's static two-threshold rule as a strategy (Section 5.1)."""
-
-    name = "threshold"
-
-    def __init__(self, rule: Optional[DecisionRule] = None):
-        self.rule = rule or DecisionRule()
-
-    def should_factorize(self, normalized: NormalizedMatrix) -> bool:
-        return self.rule.predict(normalized.tuple_ratio, normalized.feature_ratio)
-
-    def explain(self, normalized: NormalizedMatrix) -> str:
-        return self.rule.explain(normalized.tuple_ratio, normalized.feature_ratio)
-
-
-class CostBasedStrategy(ExecutionStrategy):
-    """Delegate the layout decision to the calibrated cost-based planner.
-
-    *workload* defaults to the planner's generic single-pass operator mix;
-    hand the real workload descriptor in when it is known (the ML estimators
-    do) -- iteration counts shift the break-even point substantially.
-    """
-
-    name = "cost"
-
-    def __init__(self, planner=None, workload=None):
-        # Imported lazily: repro.core.planner imports this module's siblings.
-        from repro.core.planner import Planner
-
-        self.planner = planner or Planner()
-        self.workload = workload
-        self._last_plan = None  # (matrix, plan) of the most recent call
-
-    def plan(self, normalized: NormalizedMatrix):
-        # Decide-then-explain is the common calling pattern; memoizing the
-        # last plan (matrices are immutable) avoids scoring the whole
-        # candidate lattice twice for the same input.
-        if self._last_plan is not None and self._last_plan[0] is normalized:
-            return self._last_plan[1]
-        plan = self.planner.plan(normalized, self.workload)
-        self._last_plan = (normalized, plan)
-        return plan
-
-    def should_factorize(self, normalized: NormalizedMatrix) -> bool:
-        return self.plan(normalized).factorized
-
-    def explain(self, normalized: NormalizedMatrix) -> str:
-        return self.plan(normalized).explain()
-
-
-_STRATEGIES = {
-    ThresholdStrategy.name: ThresholdStrategy,
-    CostBasedStrategy.name: CostBasedStrategy,
-}
-
-
-def get_strategy(name: Union[str, ExecutionStrategy], **kwargs) -> ExecutionStrategy:
-    """Resolve a strategy by name (``"threshold"`` / ``"cost"``) or pass through."""
-    if isinstance(name, ExecutionStrategy):
-        return name
-    key = str(name).lower()
-    if key not in _STRATEGIES:
-        raise ValueError(
-            f"unknown execution strategy {name!r}; expected one of {sorted(_STRATEGIES)}"
-        )
-    return _STRATEGIES[key](**kwargs)
-
-
 def morpheus(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
              attributes: Sequence[MatrixLike],
              rule: Optional[DecisionRule] = None,
-             force_factorized: bool = False,
-             strategy: Union[None, str, ExecutionStrategy] = None
-             ) -> Union[NormalizedMatrix, MatrixLike]:
+             force_factorized: bool = False) -> Union[NormalizedMatrix, MatrixLike]:
     """Build the data matrix the way Morpheus would: factorized if profitable.
 
     Constructs a :class:`NormalizedMatrix` from the base matrices, consults the
-    decision strategy and returns either the normalized matrix (factorized
-    execution) or its materialization (standard execution).  ``force_factorized``
-    bypasses the decision, which is what the operator-level benchmarks do.
-    ``strategy`` selects the decision procedure (default: the paper's
-    threshold rule; ``"cost"`` uses the calibrated planner); passing ``rule``
-    keeps the historical spelling for custom thresholds.  The two are
-    mutually exclusive -- wrap custom thresholds in
-    ``ThresholdStrategy(rule)`` and pass that as *strategy* instead.
+    decision rule (default: the paper's thresholds) and returns either the
+    normalized matrix (factorized execution) or its materialization (standard
+    execution).  ``force_factorized`` bypasses the decision, which is what the
+    operator-level benchmarks do.
     """
     normalized = NormalizedMatrix(entity, list(indicators), list(attributes))
-    if force_factorized:
-        return normalized
-    if strategy is None:
-        resolved: ExecutionStrategy = ThresholdStrategy(rule)
-    elif rule is not None:
-        raise ValueError(
-            "pass either rule= or strategy=, not both; wrap custom thresholds "
-            "in ThresholdStrategy(rule) and pass that as strategy="
-        )
-    else:
-        resolved = get_strategy(strategy)
-    if resolved.should_factorize(normalized):
+    if force_factorized or should_factorize(normalized.tuple_ratio,
+                                            normalized.feature_ratio, rule):
         return normalized
     return normalized.materialize()
 

@@ -305,34 +305,34 @@ class NormalizedMatrix:
                                        memory_budget=memory_budget)
 
     def stream(self, batch_rows: Optional[int] = None,
-               memory_budget: Optional[float] = None) -> "StreamedMatrix":
+               memory_budget: Optional[float] = None) -> "RowPartitioned":
         """Out-of-core streamed view: Table-1 operators run one row batch at a time.
 
-        Returns a :class:`~repro.core.stream.StreamedMatrix` whose operators
-        never hold more than one batch's intermediates resident; pass
-        *memory_budget* (bytes) to derive the batch size from the planner's
-        memory model.
+        Returns a :meth:`RowPartitioned.streamed
+        <repro.core.shard.RowPartitioned.streamed>` partition whose operators
+        never hold more than one batch resident; pass *memory_budget* (bytes)
+        to derive the batch size from the planner's memory model.
         """
-        from repro.core.stream import StreamedMatrix
+        from repro.core.shard import RowPartitioned
 
-        return StreamedMatrix(self, batch_rows=batch_rows, memory_budget=memory_budget)
+        return RowPartitioned.streamed(self, batch_rows=batch_rows, memory_budget=memory_budget)
 
     # -- sharded parallel execution ----------------------------------------------
 
-    def shard(self, n_shards: int, pool=None) -> "ShardedNormalizedMatrix":
+    def shard(self, n_shards: int, pool=None) -> "RowPartitioned":
         """Row-shard this matrix for parallel factorized execution.
 
-        Returns a :class:`~repro.core.shard.ShardedNormalizedMatrix` whose
-        pieces slice the entity and indicator matrices (the attribute
-        matrices are shared by reference) and whose Table-1 operators fan out
-        over *pool* -- ``"serial"``, ``"thread"`` (default), ``"process"``, a
-        worker count, a :class:`~repro.la.parallel.WorkerPool`, or any
-        ``concurrent.futures`` executor.  The shard count is clamped to the
-        row count; ``n_shards=1`` executes bit-for-bit like this matrix.
+        Returns a :class:`~repro.core.shard.RowPartitioned` whose pieces slice
+        the entity and indicator matrices (the attribute matrices are shared
+        by reference) and whose Table-1 operators fan out over *pool* --
+        ``"serial"``, ``"thread"`` (default), ``"process"``, a worker count, a
+        :class:`~repro.la.parallel.WorkerPool`, or any ``concurrent.futures``
+        executor.  The shard count is clamped to the row count;
+        ``n_shards=1`` executes bit-for-bit like this matrix.
         """
-        from repro.core.shard import ShardedNormalizedMatrix
+        from repro.core.shard import RowPartitioned
 
-        return ShardedNormalizedMatrix.from_normalized(self, n_shards, pool=pool)
+        return RowPartitioned.from_normalized(self, n_shards, pool=pool)
 
     # -- lazy evaluation ---------------------------------------------------------
 

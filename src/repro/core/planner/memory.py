@@ -72,11 +72,21 @@ def _logical_dims(data) -> Tuple[int, int]:
     return int(n_rows), int(n_cols)
 
 
+def resident_pieces(data):
+    """What a row-partitioned operand keeps resident: its listed pieces, or
+    the source a lazy partition slices (``None`` for other operands)."""
+    from repro.core.shard import RowPartitioned
+
+    if not isinstance(data, RowPartitioned):
+        return None
+    return [data.source] if data.source is not None else data.pieces
+
+
 def materialized_nbytes(data) -> int:
     """Bytes of the dense join output a materialized plan keeps resident.
 
-    For operands that *are* already materialized (plain, chunked, plain
-    sharded) this is their actual storage size; for normalized operands it is
+    For operands that *are* already materialized (plain matrices, plain row
+    pieces) this is their actual storage size; for normalized operands it is
     the dense ``n_S x d`` the join would produce.
     """
     from repro.core.mn_matrix import MNNormalizedMatrix
@@ -85,13 +95,9 @@ def materialized_nbytes(data) -> int:
     if isinstance(data, (NormalizedMatrix, MNNormalizedMatrix)):
         rows, cols = _logical_dims(data)
         return rows * cols * DENSE_ELEMENT_BYTES
-    pieces = getattr(data, "pieces", None)
-    if pieces is not None:  # ShardedNormalizedMatrix
-        rows, cols = _logical_dims(data)
-        return rows * cols * DENSE_ELEMENT_BYTES
-    chunks = getattr(data, "chunks", None) or getattr(data, "shards", None)
-    if chunks is not None:
-        return sum(matrix_nbytes(c) for c in chunks)
+    pieces = resident_pieces(data)
+    if pieces is not None:
+        return sum(materialized_nbytes(p) for p in pieces)
     return matrix_nbytes(data)
 
 
@@ -109,10 +115,10 @@ def factorized_nbytes(data) -> int:
         total = sum(matrix_nbytes(i) for i in data.indicators)
         total += sum(matrix_nbytes(r) for r in data.attributes)
         return total
-    pieces = getattr(data, "pieces", None)
-    if pieces is not None:  # ShardedNormalizedMatrix: attributes are shared
+    pieces = resident_pieces(data)
+    if pieces is not None:  # normalized pieces share their attribute matrices
         total = sum(factorized_nbytes(p) for p in pieces)
-        shared = sum(matrix_nbytes(r) for r in pieces[0].attributes)
+        shared = sum(matrix_nbytes(r) for r in getattr(pieces[0], "attributes", ()))
         return total - shared * (len(pieces) - 1)
     return materialized_nbytes(data)
 
@@ -134,8 +140,8 @@ def entity_stream_nbytes(data) -> int:
         return matrix_nbytes(data.entity) + sum(matrix_nbytes(k) for k in data.indicators)
     if isinstance(data, MNNormalizedMatrix):
         return sum(matrix_nbytes(i) for i in data.indicators)
-    pieces = getattr(data, "pieces", None)
-    if pieces is not None:  # ShardedNormalizedMatrix
+    pieces = resident_pieces(data)
+    if pieces is not None:
         return sum(entity_stream_nbytes(p) for p in pieces)
     return materialized_nbytes(data)
 

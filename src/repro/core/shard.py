@@ -1,53 +1,64 @@
-"""Row-sharded operands executing Table-1 operators through a worker pool.
+"""Row-partitioned operands executing Table-1 operators piece by piece.
 
 Every factorized operator of the paper is embarrassingly parallel over row
-shards of the (logical) data matrix: row-sharding ``T`` corresponds to
-row-sharding the entity matrix ``S`` and the indicator matrices ``K_i``/``I_i``
-while *sharing* the attribute matrices ``R_i``, and each Table-1 operator
-either concatenates per-shard results (LMM, ``rowSums``, element-wise ops) or
-sums them (RMM, ``crossprod``, ``colSums``, ``sum``).  This module provides
-the two operand types that exploit that:
+pieces of the (logical) data matrix: row-partitioning ``T`` corresponds to
+row-partitioning the entity matrix ``S`` and the indicator matrices
+``K_i``/``I_i`` while *sharing* the attribute matrices ``R_i``, and each
+Table-1 operator either concatenates per-piece results (LMM, ``rowSums``,
+element-wise ops) or sums them (RMM, ``crossprod``, ``colSums``, ``sum``).
+That is also all Oracle R Enterprise's ``ore.rowapply`` does (Section 5.2.4,
+Tables 9 and 10): it visits a row partition one piece at a time.
 
-* :class:`ShardedMatrix` -- a plain dense/sparse matrix stored as row shards,
-  the parallel sibling of :class:`repro.la.chunked.ChunkedMatrix`.
-* :class:`ShardedNormalizedMatrix` -- row shards of a
-  :class:`~repro.core.normalized_matrix.NormalizedMatrix` or
-  :class:`~repro.core.mn_matrix.MNNormalizedMatrix`, built with their
-  ``.shard(n_shards, pool=...)`` methods.  Each shard is itself a normalized
-  matrix, so every per-shard operator runs through the *existing* factorized
-  rewrite rules; this class only fans out and reduces.
+:class:`RowPartitioned` is that one idea.  It has three parts:
 
-Both types dispatch shard work through a
-:class:`~repro.la.parallel.ParallelExecutor` whose pool is pluggable (serial /
-threads / processes / any ``concurrent.futures`` executor).  All shard
-functions are module-level so they survive pickling into a
-:class:`~repro.la.parallel.ProcessPool`; only ``elementwise`` with a
-non-picklable callable is thread/serial-only.
+* **pieces** -- plain dense/sparse row blocks, or row slices of a
+  :class:`~repro.core.normalized_matrix.NormalizedMatrix` /
+  :class:`~repro.core.mn_matrix.MNNormalizedMatrix` (entity and indicators
+  sliced, attribute matrices shared by reference, so every per-piece
+  operator runs through the factorized rewrite rules unchanged).  Pieces
+  come from a list (``NormalizedMatrix.shard()``,
+  :meth:`RowPartitioned.from_matrix`, the chunked and sharded backends) or
+  from a lazy row-slice source (``NormalizedMatrix.stream()``,
+  :meth:`RowPartitioned.streamed`) that produces each piece when an
+  operator reaches it and holds at most one produced piece alive;
+* a :class:`~repro.la.parallel.ParallelExecutor` -- serial, thread, process
+  or any ``concurrent.futures`` executor.  The ORE-style chunked matrix is a
+  partition on the serial executor; a lazy source is always serial;
+* a **transposed** flag -- transposed operators route through the
+  identities of Appendix A, so the pieces themselves stay untransposed.
 
-With one shard the fan-out degenerates to the unsharded computation -- the
-executor runs single-item maps inline and the reductions are identity
+Per-piece work goes through the module-level ``_shard_*`` functions, which
+branch on the piece type (plain pieces through :mod:`repro.la.ops`,
+normalized pieces through their own overloads) and survive pickling into a
+:class:`~repro.la.parallel.ProcessPool`; only ``apply`` with a non-picklable
+callable is thread/serial-only.
+
+With one piece the fan-out degenerates to the unpartitioned computation --
+the executor runs single-item maps inline and the reductions are identity
 operations -- so ``n_shards=1`` is bit-for-bit identical to serial execution.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.exceptions import ShapeError
+from repro import obs
+from repro.core.stream import NormalizedBatchIterator, _slice_piece, slice_rows
+from repro.exceptions import NotSupportedError, ShapeError
 from repro.la import generic
 from repro.la import ops as la_ops
-from repro import obs
 from repro.la.parallel import ParallelExecutor, PoolSpec
+from repro.la.types import MatrixLike, ensure_2d, is_matrix_like, is_sparse, to_dense
 
 _SHARD_BUILDS = obs.REGISTRY.counter(
     "repro_shard_builds_total",
     "Sharded operands constructed, by source kind",
     labels=("kind",),
 )
-from repro.la.types import MatrixLike, ensure_2d, is_matrix_like, is_sparse, to_dense
 
 Scalar = Union[int, float, np.floating, np.integer]
 
@@ -74,7 +85,7 @@ def shard_bounds(n_rows: int, n_shards: int) -> List[Tuple[int, int]]:
     shards so sizes differ by at most one.  A zero-row matrix partitions into
     a single empty shard ``[(0, 0)]`` rather than dividing by a clamped shard
     count of zero, so degenerate inputs (empty train/test splits, drained
-    streams) flow through the sharded wrappers instead of crashing.
+    streams) flow through the partitioned operators instead of crashing.
     """
     if n_rows < 0:
         raise ShapeError("cannot shard a matrix with negative rows")
@@ -93,11 +104,24 @@ def shard_bounds(n_rows: int, n_shards: int) -> List[Tuple[int, int]]:
     return bounds
 
 
+def fixed_bounds(n_rows: int, piece_rows: int) -> List[Tuple[int, int]]:
+    """Consecutive ``piece_rows``-row ranges (the last may be shorter).
+
+    The partition of the chunked backend and of a lazy source; like
+    :func:`shard_bounds`, a zero-row matrix yields one empty piece.
+    """
+    if piece_rows < 1:
+        raise ValueError("piece_rows must be at least 1")
+    if n_rows == 0:
+        return [(0, 0)]
+    return [(start, min(start + piece_rows, n_rows)) for start in range(0, n_rows, piece_rows)]
+
+
 # ---------------------------------------------------------------------------
-# Module-level shard functions (picklable, so ProcessPool works).
-# Each takes one argument tuple and handles both plain shards and normalized
-# pieces, dispatching plain matrices through repro.la.ops and logical pieces
-# through their own (factorized) operator overloads.
+# Module-level piece functions (picklable, so ProcessPool works).
+# Each takes one argument tuple led by the piece and handles both plain and
+# normalized pieces, dispatching plain matrices through repro.la.ops and
+# logical pieces through their own (factorized) operator overloads.
 # ---------------------------------------------------------------------------
 
 def _shard_matmul(args):
@@ -108,7 +132,7 @@ def _shard_matmul(args):
 
 
 def _shard_rmatmul(args):
-    other_slice, shard = args
+    shard, other_slice = args
     if is_matrix_like(shard):
         return la_ops.matmul(other_slice, shard)
     return other_slice @ shard
@@ -184,28 +208,6 @@ def _split_cols(matrix: MatrixLike, bounds: Sequence[Tuple[int, int]]) -> List[M
     return [matrix[:, start:stop] for start, stop in bounds]
 
 
-def _align_row_operand(other, bounds: Sequence[Tuple[int, int]]) -> List[MatrixLike]:
-    """Row slices of *other* aligned with *bounds*.
-
-    Accepts plain matrices and row-partitioned logical operands: a
-    :class:`ShardedMatrix` with identical bounds (the common case --
-    ``T.T @ (T @ w)`` composes a sharded LMM result straight back in)
-    contributes its shards with no copying; other logical operands
-    (differently-bounded sharded results, chunked matrices) are concretized
-    first.
-    """
-    if isinstance(other, ShardedMatrix):
-        if list(other.bounds) == list(bounds):
-            return list(other.shards)
-        other = other.to_matrix()
-    elif not is_matrix_like(other):
-        if hasattr(other, "to_matrix"):
-            other = other.to_matrix()
-        elif hasattr(other, "to_dense"):
-            other = other.to_dense()
-    return _split_rows(other, bounds)
-
-
 def _sum_partials(parts: List):
     total = parts[0]
     for part in parts[1:]:
@@ -213,364 +215,211 @@ def _sum_partials(parts: List):
     return total
 
 
-class TransposedShardedView:
-    """Read-only transpose view of a :class:`ShardedMatrix`.
+def _operand(other):
+    """*other* as a 2-D plain matrix, a logical operand, or ``None`` if neither."""
+    if isinstance(other, (list, tuple)):
+        other = np.asarray(other, dtype=np.float64)
+    if is_matrix_like(other):
+        return ensure_2d(other)
+    return other if hasattr(other, "shape") else None
 
-    Like :class:`repro.la.chunked.TransposedChunkedView`, it supports exactly
-    the ``T.T @ X`` products the ML scripts use, delegating to the parent's
-    parallel :meth:`ShardedMatrix.transpose_matmul`.
+
+class _LazyRows:
+    """Pieces produced on demand: ``batch_rows``-row slices of *source*.
+
+    Each produced slice passes through *steps* -- the deferred per-piece ops
+    ``(fn, args)`` that scalar operators and ``apply`` composed -- so a
+    normalized slice stays factorized.  A slice covering every row is the
+    source itself, so one full-size piece runs bit-for-bit like the source.
+    """
+
+    def __init__(self, source, batch_rows: int, steps: tuple = ()):
+        self.source = source
+        self.batch_rows = batch_rows
+        self.steps = steps
+        self.bounds = fixed_bounds(int(source.shape[0]), batch_rows)
+
+    def produce(self, index: int):
+        start, stop = self.bounds[index]
+        if start == 0 and stop == self.source.shape[0]:
+            piece = self.source
+        else:
+            piece = slice_rows(self.source, start, stop)
+        for fn, args in self.steps:
+            piece = fn((piece, *args))
+        return piece
+
+    def then(self, fn: Callable, *args) -> "_LazyRows":
+        return _LazyRows(self.source, self.batch_rows, self.steps + ((fn, args),))
+
+
+class RowPartitioned:
+    """A matrix stored as row pieces, executing Table-1 operators per piece.
+
+    ==================  =========================================
+    operator            reduction over per-piece partials
+    ==================  =========================================
+    ``T @ X`` (LMM)     concatenate rows (stays partitioned)
+    ``X @ T`` (RMM)     sum of ``X_i @ T_i``
+    ``T^T @ Y``         sum of ``T_i^T @ Y_i``
+    ``crossprod(T)``    sum of ``crossprod(T_i)``
+    ``crossprod(T^T)``  block grid of ``T_i T_j^T`` pair products
+    ``rowSums``         concatenate; ``colSums``/``sum``: sum
+    scalar ops, ``f(T)``  per piece, closed (normalized pieces stay
+                          normalized)
+    ``T op X``          per piece against the row slice of ``X``
+    ==================  =========================================
+
+    Listed pieces fan out through the executor; a lazy source produces one
+    piece per step instead and defers scalar ops to a composed per-piece op.
+    Size-of-input results (LMM outputs, element-wise results) stay
+    partitioned on the same executor; small results (aggregates, Gram
+    matrices) come back as ordinary in-memory matrices.
     """
 
     __array_ufunc__ = None
-    __array_priority__ = 1000
+    # Above plain matrices and the normalized classes (1000), below LazyExpr
+    # (2000), so mixed expressions resolve to these overloads.
+    __array_priority__ = 1500
 
-    def __init__(self, parent: "ShardedMatrix"):
-        self._parent = parent
-
-    @property
-    def shape(self) -> tuple:
-        rows, cols = self._parent.shape
-        return (cols, rows)
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    @property
-    def T(self) -> "ShardedMatrix":
-        return self._parent
-
-    def __matmul__(self, other: MatrixLike) -> np.ndarray:
-        return self._parent.transpose_matmul(other)
-
-    def to_dense(self) -> np.ndarray:
-        return self._parent.to_dense().T
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TransposedShardedView(shape={self.shape})"
-
-
-class ShardedMatrix:
-    """A plain matrix stored as row shards with a pluggable worker pool.
-
-    The operator surface matches :class:`~repro.la.chunked.ChunkedMatrix`
-    (the Table-1 subset the rewrite rules and ML algorithms need) but every
-    operator fans its per-shard work out through the attached
-    :class:`~repro.la.parallel.ParallelExecutor` and reduces the partials.
-    Size-of-input results (LMM outputs, element-wise results) stay sharded and
-    share the pool; small results (aggregates, Gram matrices) come back as
-    ordinary in-memory matrices.
-    """
-
-    __array_ufunc__ = None
-    __array_priority__ = 1000
-
-    def __init__(self, shards: Sequence[MatrixLike], pool: PoolSpec = None,
+    def __init__(self, pieces: Sequence, transposed: bool = False, pool: PoolSpec = None,
                  executor: Optional[ParallelExecutor] = None):
-        if not shards:
-            raise ShapeError("ShardedMatrix requires at least one shard")
-        self.shards: List[MatrixLike] = [ensure_2d(s) for s in shards]
-        widths = {s.shape[1] for s in self.shards}
-        if len(widths) != 1:
-            raise ShapeError(
-                f"all shards must have the same number of columns, got {sorted(widths)}"
-            )
-        self._n_cols = self.shards[0].shape[1]
-        self._n_rows = sum(s.shape[0] for s in self.shards)
-        bounds, start = [], 0
-        for shard in self.shards:
-            bounds.append((start, start + shard.shape[0]))
-            start += shard.shape[0]
-        self.bounds: List[Tuple[int, int]] = bounds
+        if isinstance(pieces, _LazyRows):
+            self.source = pieces.source
+            self._n_cols = int(pieces.source.shape[1])
+            self.bounds: List[Tuple[int, int]] = pieces.bounds
+        else:
+            pieces = [ensure_2d(p) if is_matrix_like(p) else p for p in pieces]
+            if not pieces:
+                raise ShapeError("RowPartitioned requires at least one piece")
+            widths = {p.shape[1] for p in pieces}
+            if len(widths) != 1:
+                raise ShapeError(
+                    f"all pieces must have the same number of columns, got {sorted(widths)}"
+                )
+            if any(getattr(p, "transposed", False) for p in pieces):
+                raise ShapeError("pieces must be untransposed; use the transposed flag")
+            self.source = None
+            self._n_cols = int(pieces[0].shape[1])
+            self.bounds, start = [], 0
+            for piece in pieces:
+                self.bounds.append((start, start + piece.shape[0]))
+                start += piece.shape[0]
+        self.pieces = pieces
+        self.transposed = bool(transposed)
         self.executor = executor if executor is not None else ParallelExecutor(
-            pool, default_max_workers=len(self.shards)
+            pool, default_max_workers=len(self.bounds)
         )
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_matrix(cls, matrix: MatrixLike, n_shards: int, pool: PoolSpec = None
-                    ) -> "ShardedMatrix":
-        """Partition an in-memory matrix into *n_shards* balanced row shards."""
+                    ) -> "RowPartitioned":
+        """Partition an in-memory matrix into *n_shards* balanced row pieces."""
         matrix = ensure_2d(matrix)
         with obs.span("shard.from_matrix", n_shards=n_shards,
                       n_rows=matrix.shape[0]):
-            sharded = cls(_split_rows(matrix, shard_bounds(matrix.shape[0],
-                                                           n_shards)),
-                          pool=pool)
+            partitioned = cls(_split_rows(matrix, shard_bounds(matrix.shape[0], n_shards)),
+                              pool=pool)
         _SHARD_BUILDS.labels(kind="matrix").inc()
-        return sharded
-
-    def _sibling(self, shards: Sequence[MatrixLike]) -> "ShardedMatrix":
-        """A result matrix sharing this one's executor (and therefore pool)."""
-        return ShardedMatrix(shards, executor=self.executor)
-
-    # -- basic properties ----------------------------------------------------
-
-    @property
-    def shape(self) -> tuple:
-        return (self._n_rows, self._n_cols)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    @property
-    def T(self) -> "TransposedShardedView":
-        return TransposedShardedView(self)
-
-    def to_matrix(self) -> MatrixLike:
-        if all(is_sparse(s) for s in self.shards):
-            return la_ops.vstack(self.shards)
-        return np.vstack([to_dense(s) for s in self.shards])
-
-    def to_dense(self) -> np.ndarray:
-        return to_dense(self.to_matrix())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ShardedMatrix(shape={self.shape}, shards={self.num_shards}, "
-                f"pool={self.executor.pool.name})")
-
-    # -- aggregations --------------------------------------------------------
-
-    def rowsums(self) -> np.ndarray:
-        return np.vstack(self.executor.map(_shard_rowsums, self.shards))
-
-    def colsums(self) -> np.ndarray:
-        return _sum_partials(self.executor.map(_shard_colsums, self.shards))
-
-    def total_sum(self) -> float:
-        return float(sum(self.executor.map(_shard_total_sum, self.shards)))
-
-    def sum(self, axis: Optional[int] = None):
-        if axis is None:
-            return self.total_sum()
-        if axis == 0:
-            return self.colsums()
-        if axis == 1:
-            return self.rowsums()
-        raise ValueError("axis must be None, 0 or 1")
-
-    # -- products ------------------------------------------------------------
-
-    def matmul(self, other: MatrixLike) -> "ShardedMatrix":
-        """Left multiplication ``self @ other``; the result stays sharded."""
-        other = ensure_2d(other)
-        if other.shape[0] != self._n_cols:
-            raise ShapeError(f"matmul: {self.shape} @ {other.shape}")
-        parts = self.executor.map(_shard_matmul, [(s, other) for s in self.shards])
-        return self._sibling(parts)
-
-    def rmatmul(self, other: MatrixLike) -> MatrixLike:
-        """Right multiplication ``other @ self`` as an in-memory matrix."""
-        other = ensure_2d(other)
-        if other.shape[1] != self._n_rows:
-            raise ShapeError(f"rmatmul: {other.shape} @ {self.shape}")
-        slices = _split_cols(other, self.bounds)
-        parts = self.executor.map(_shard_rmatmul, list(zip(slices, self.shards)))
-        return _sum_partials(parts)
-
-    def transpose_matmul(self, other) -> np.ndarray:
-        """Compute ``self.T @ other`` (with *other* row-aligned to ``self``).
-
-        *other* may itself be sharded -- the result of ``self @ w`` feeding
-        straight back into the gradient product ``self.T @ p``.
-        """
-        if is_matrix_like(other) or not hasattr(other, "shape"):
-            other = ensure_2d(other)  # incl. array-likes such as nested lists
-        if other.shape[0] != self._n_rows:
-            raise ShapeError(f"transpose_matmul: {self.shape}.T @ {tuple(other.shape)}")
-        slices = _align_row_operand(other, self.bounds)
-        parts = self.executor.map(_shard_transpose_matmul, list(zip(self.shards, slices)))
-        return _sum_partials(parts)
-
-    def crossprod(self, method: Optional[str] = None) -> np.ndarray:
-        """Gram matrix ``self.T @ self`` as a sum of per-shard Gram matrices.
-
-        *method* is accepted for signature compatibility with the normalized
-        matrices (callers like ``LinearRegressionNE(crossprod_method=...)``
-        pass it to whatever operand they hold) and ignored: a plain matrix
-        has no naive/efficient rewrite distinction.
-        """
-        parts = self.executor.map(_shard_crossprod, [(s, None) for s in self.shards])
-        return _sum_partials([to_dense(p) for p in parts])
-
-    # -- element-wise --------------------------------------------------------
-
-    def scalar_op(self, op: str, scalar: Scalar, reverse: bool = False) -> "ShardedMatrix":
-        parts = self.executor.map(
-            _shard_scalar_op, [(s, op, float(scalar), reverse) for s in self.shards]
-        )
-        return self._sibling(parts)
-
-    def elementwise(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ShardedMatrix":
-        parts = self.executor.map(_shard_elementwise_fn, [(s, fn) for s in self.shards])
-        return self._sibling(parts)
-
-    def _elementwise_matrix(self, other: MatrixLike, op: str, reverse: bool) -> "ShardedMatrix":
-        other = ensure_2d(other)
-        if tuple(other.shape) != self.shape:
-            raise ShapeError(
-                f"element-wise op: shape mismatch {self.shape} vs {tuple(other.shape)}"
-            )
-        slices = _split_rows(other, self.bounds)
-        parts = self.executor.map(
-            _shard_elementwise_matrix,
-            [(s, o, op, reverse) for s, o in zip(self.shards, slices)],
-        )
-        return self._sibling(parts)
-
-    def _binary(self, op: str, other, reverse: bool):
-        if _is_scalar(other):
-            return self.scalar_op(op, other, reverse=reverse)
-        if is_matrix_like(other):
-            return self._elementwise_matrix(other, op, reverse=reverse)
-        return NotImplemented
-
-    # -- Python operator protocol --------------------------------------------
-
-    def __matmul__(self, other: MatrixLike) -> "ShardedMatrix":
-        return self.matmul(other)
-
-    def __rmatmul__(self, other: MatrixLike) -> MatrixLike:
-        return self.rmatmul(other)
-
-    def __mul__(self, other):
-        return self._binary("*", other, reverse=False)
-
-    def __rmul__(self, other):
-        return self._binary("*", other, reverse=True)
-
-    def __add__(self, other):
-        return self._binary("+", other, reverse=False)
-
-    def __radd__(self, other):
-        return self._binary("+", other, reverse=True)
-
-    def __sub__(self, other):
-        return self._binary("-", other, reverse=False)
-
-    def __rsub__(self, other):
-        return self._binary("-", other, reverse=True)
-
-    def __truediv__(self, other):
-        return self._binary("/", other, reverse=False)
-
-    def __rtruediv__(self, other):
-        return self._binary("/", other, reverse=True)
-
-    def __pow__(self, exponent):
-        if _is_scalar(exponent):
-            return self.scalar_op("**", exponent)
-        return NotImplemented
-
-    def __neg__(self):
-        return self.scalar_op("*", -1.0)
-
-    # -- lazy / iteration ----------------------------------------------------
-
-    def lazy(self, cache=None):
-        """Lazy expression leaf over this matrix (see ``NormalizedMatrix.lazy``)."""
-        from repro.core.lazy import lazy_view
-
-        return lazy_view(self, cache=cache)
-
-    def __iter__(self) -> Iterable[MatrixLike]:
-        return iter(self.shards)
-
-
-class ShardedNormalizedMatrix:
-    """Row shards of a normalized matrix, fanned out over a worker pool.
-
-    Built by ``NormalizedMatrix.shard(n_shards, pool=...)`` or
-    ``MNNormalizedMatrix.shard(...)``: each piece is a row slice of the
-    logical join output -- the entity and indicator matrices are sliced, the
-    attribute matrices are shared by reference -- and is itself a normalized
-    matrix, so every per-shard operator executes through the factorized
-    rewrite rules of :mod:`repro.core.rewrite` unchanged.  This wrapper only
-    decides how to fan out and how to reduce:
-
-    ==================  =========================================
-    operator            reduction over per-shard partials
-    ==================  =========================================
-    ``T @ X`` (LMM)     concatenate rows (stays sharded)
-    ``X @ T`` (RMM)     sum of ``X_i @ T_i``
-    ``T^T @ Y``         sum of ``T_i^T @ Y_i``
-    ``crossprod(T)``    sum of ``crossprod(T_i)``
-    ``rowSums``         concatenate; ``colSums``/``sum``: sum
-    scalar ops, ``f(T)``  per-shard, closed (stays sharded+normalized)
-    ``crossprod(T^T)``  block grid of ``T_i T_j^T`` pair products
-    ==================  =========================================
-
-    Transposition flips a flag, exactly like the eager classes, and the
-    transposed operators are routed through the identities of Appendix A so
-    the pieces themselves always stay untransposed.
-    """
-
-    __array_ufunc__ = None
-    # Above plain matrices and NormalizedMatrix (1000), below LazyExpr (2000),
-    # so mixed expressions resolve to the sharded overloads.
-    __array_priority__ = 1500
-
-    def __init__(self, pieces: Sequence, transposed: bool = False, pool: PoolSpec = None,
-                 executor: Optional[ParallelExecutor] = None):
-        if not pieces:
-            raise ShapeError("ShardedNormalizedMatrix requires at least one piece")
-        widths = {p.shape[1] for p in pieces}
-        if len(widths) != 1:
-            raise ShapeError(
-                f"all pieces must have the same number of columns, got {sorted(widths)}"
-            )
-        if any(getattr(p, "transposed", False) for p in pieces):
-            raise ShapeError("pieces must be untransposed; use the wrapper's transposed flag")
-        self.pieces: List = list(pieces)
-        self.transposed = bool(transposed)
-        bounds, start = [], 0
-        for piece in self.pieces:
-            bounds.append((start, start + piece.shape[0]))
-            start += piece.shape[0]
-        self.bounds: List[Tuple[int, int]] = bounds
-        self.executor = executor if executor is not None else ParallelExecutor(
-            pool, default_max_workers=len(self.pieces)
-        )
-
-    # -- construction -------------------------------------------------------
+        return partitioned
 
     @classmethod
     def from_normalized(cls, source, n_shards: int, pool: PoolSpec = None
-                        ) -> "ShardedNormalizedMatrix":
+                        ) -> "RowPartitioned":
         """Shard *source* (a PK-FK or M:N normalized matrix) into row pieces.
 
-        Row shards of the logical ``T`` slice the entity and indicator
+        Row pieces of the logical ``T`` slice the entity and indicator
         matrices; the attribute matrices are shared, not copied.  Sharding a
         transposed matrix shards the rows of the *untransposed* ``T`` and
-        carries the flag on the wrapper.
+        carries the flag on the partition.
         """
         plain = source.T if source.transposed else source
         with obs.span("shard.from_normalized", n_shards=n_shards,
                       n_rows=plain.shape[0]):
             bounds = shard_bounds(plain.shape[0], n_shards)
             pieces = [_slice_piece(plain, start, stop) for start, stop in bounds]
-            sharded = cls(pieces, transposed=source.transposed, pool=pool)
+            partitioned = cls(pieces, transposed=source.transposed, pool=pool)
         _SHARD_BUILDS.labels(kind="normalized").inc()
-        return sharded
+        return partitioned
 
-    def _sibling_pieces(self, pieces: Sequence) -> "ShardedNormalizedMatrix":
-        return ShardedNormalizedMatrix(pieces, transposed=self.transposed,
-                                       executor=self.executor)
+    @classmethod
+    def streamed(cls, source, batch_rows: Optional[int] = None,
+                 memory_budget: Optional[float] = None) -> "RowPartitioned":
+        """Lazy row-slice partition of *source* on the serial executor.
 
-    def _sharded_result(self, parts: Sequence[MatrixLike]) -> ShardedMatrix:
-        return ShardedMatrix(parts, executor=self.executor)
+        *source* is an untransposed normalized or plain matrix.  Every
+        operator slices ``batch_rows`` rows at a time (derived from
+        *memory_budget* through the planner's memory model when not given)
+        and holds at most one produced piece alive, so no operator
+        materializes an intermediate larger than one piece.
+        """
+        if getattr(source, "transposed", False):
+            raise NotSupportedError(
+                "a streamed partition wraps an untransposed source; use its T"
+            )
+        batch_rows = NormalizedBatchIterator(source, batch_size=batch_rows,
+                                             memory_budget=memory_budget).batch_size
+        return cls(_LazyRows(source, batch_rows), pool="serial")
+
+    def _with(self, pieces, transposed: Optional[bool] = None) -> "RowPartitioned":
+        """A partition over *pieces* sharing this one's executor (and pool)."""
+        return RowPartitioned(pieces,
+                              transposed=self.transposed if transposed is None else transposed,
+                              executor=self.executor)
+
+    def _plain(self) -> "RowPartitioned":
+        """This partition with the transpose flag cleared (shares the pieces)."""
+        return self._with(self.pieces, transposed=False) if self.transposed else self
+
+    def apply_delta(self, table_index: int, delta, policy=None) -> "RowPartitioned":
+        """Streamed view over the post-delta source (see the source's method).
+
+        Only a lazy source over a normalized matrix can take a delta; the
+        batch size, the transpose flag and the deferred per-piece ops carry
+        over unchanged.
+        """
+        if not hasattr(self.source, "apply_delta"):
+            raise NotSupportedError(
+                "only a streamed partition of a normalized matrix takes a delta; "
+                "rebuild listed pieces from the patched matrix instead"
+            )
+        patched = self.source.apply_delta(table_index, delta, policy=policy)
+        return self._with(_LazyRows(patched, self.pieces.batch_rows, self.pieces.steps))
+
+    # -- per-piece dispatch ------------------------------------------------------
+
+    def _piece(self, index: int):
+        if self.source is not None:
+            return self.pieces.produce(index)
+        return self.pieces[index]
+
+    def _map(self, fn: Callable, task: Optional[Callable] = None, keys=None) -> list:
+        """``fn(task(key))`` for every key (default: every piece index), in order.
+
+        ``task`` builds one work item (default: the piece itself).  Listed
+        pieces fan out through the executor.  A lazy source builds each item
+        -- producing its piece -- inside the step that consumes it, so at
+        most one produced piece is alive at a time.
+        """
+        keys = range(len(self.bounds)) if keys is None else keys
+        task = task or self._piece
+        if self.source is not None:
+            return [fn(task(key)) for key in keys]
+        return self.executor.map(fn, [task(key) for key in keys])
+
+    def _each(self, fn: Callable, *args) -> "RowPartitioned":
+        """Closed per-piece op: mapped now over listed pieces, deferred on a lazy source."""
+        if self.source is not None:
+            return self._with(self.pieces.then(fn, *args))
+        return self._with(self._map(fn, lambda i: (self.pieces[i], *args)))
 
     # -- shape and metadata --------------------------------------------------
 
     @property
-    def num_shards(self) -> int:
-        return len(self.pieces)
+    def num_pieces(self) -> int:
+        return len(self.bounds)
 
     @property
     def logical_rows(self) -> int:
@@ -578,7 +427,7 @@ class ShardedNormalizedMatrix:
 
     @property
     def logical_cols(self) -> int:
-        return self.pieces[0].shape[1]
+        return self._n_cols
 
     @property
     def shape(self) -> tuple:
@@ -591,56 +440,46 @@ class ShardedNormalizedMatrix:
         return 2
 
     @property
-    def T(self) -> "ShardedNormalizedMatrix":
-        return ShardedNormalizedMatrix(self.pieces, transposed=not self.transposed,
-                                       executor=self.executor)
-
-    def transpose(self) -> "ShardedNormalizedMatrix":
-        return self.T
+    def T(self) -> "RowPartitioned":
+        return self._with(self.pieces, transposed=not self.transposed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ShardedNormalizedMatrix(shape={self.shape}, shards={self.num_shards}, "
-                f"pool={self.executor.pool.name}, transposed={self.transposed})")
+        kind = "streamed" if self.source is not None else self.executor.pool.name
+        return (f"RowPartitioned(shape={self.shape}, pieces={self.num_pieces}, "
+                f"{kind}, transposed={self.transposed})")
 
     # -- materialization ------------------------------------------------------
 
     def materialize(self) -> MatrixLike:
-        parts = self.executor.map(_shard_materialize, self.pieces)
-        matrix = la_ops.vstack(parts)
+        if self.source is None and all(is_matrix_like(p) for p in self.pieces):
+            parts = self.pieces  # plain pieces: nothing to compute per piece
+        else:
+            parts = self._map(_shard_materialize)
+        if all(is_sparse(p) for p in parts):
+            matrix = sp.vstack(parts, format="csr")
+        else:
+            matrix = np.vstack([to_dense(p) for p in parts])
         return matrix.T if self.transposed else matrix
 
     def to_dense(self) -> np.ndarray:
         return to_dense(self.materialize())
 
-    # -- element-wise scalar operators ----------------------------------------
+    # -- element-wise operators ------------------------------------------------
 
-    def _scalar_result(self, op: str, scalar: Scalar, reverse: bool
-                       ) -> "ShardedNormalizedMatrix":
-        pieces = self.executor.map(
-            _shard_scalar_op, [(p, op, float(scalar), reverse) for p in self.pieces]
-        )
-        return self._sibling_pieces(pieces)
+    def _scalar(self, op: str, scalar: Scalar, reverse: bool) -> "RowPartitioned":
+        return self._each(_shard_scalar_op, op, float(scalar), reverse)
 
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ShardedNormalizedMatrix":
-        """Element-wise scalar function ``f(T)``, applied shard-wise (closed)."""
-        pieces = self.executor.map(_shard_elementwise_fn, [(p, fn) for p in self.pieces])
-        return self._sibling_pieces(pieces)
+    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "RowPartitioned":
+        """Element-wise scalar function ``f(T)``, applied piece-wise (closed)."""
+        return self._each(_shard_elementwise_fn, fn)
 
-    def exp(self) -> "ShardedNormalizedMatrix":
-        return self.apply(np.exp)
-
-    def log(self) -> "ShardedNormalizedMatrix":
-        return self.apply(np.log)
-
-    def sqrt(self) -> "ShardedNormalizedMatrix":
-        return self.apply(np.sqrt)
-
-    def _elementwise_matrix_op(self, other: MatrixLike, op: str, reverse: bool) -> MatrixLike:
+    def _elementwise_matrix(self, other: MatrixLike, op: str, reverse: bool
+                            ) -> "RowPartitioned":
         """Non-factorizable element-wise matrix arithmetic (Section 3.3.7).
 
-        Each shard materializes its slice and applies the operator; the
+        Each piece materializes against its row slice of *other*; the
         transposed case reuses the untransposed path on ``other^T`` via
-        ``(T^T op X) = (T op X^T)^T`` and returns a plain matrix.
+        ``(T^T op X) = (T op X^T)^T``.
         """
         other = ensure_2d(other)
         if tuple(other.shape) != self.shape:
@@ -648,26 +487,17 @@ class ShardedNormalizedMatrix:
                 f"element-wise op: shape mismatch {self.shape} vs {tuple(other.shape)}"
             )
         if self.transposed:
-            untransposed = self._plain()._elementwise_matrix_op(other.T, op, reverse)
-            return to_dense(untransposed.to_matrix()).T
+            return self._plain()._elementwise_matrix(other.T, op, reverse).T
         slices = _split_rows(other, self.bounds)
-        parts = self.executor.map(
-            _shard_elementwise_matrix,
-            [(p, o, op, reverse) for p, o in zip(self.pieces, slices)],
-        )
-        return self._sharded_result(parts)
-
-    def _plain(self) -> "ShardedNormalizedMatrix":
-        """This matrix with the transpose flag cleared (shares the pieces)."""
-        if not self.transposed:
-            return self
-        return ShardedNormalizedMatrix(self.pieces, transposed=False, executor=self.executor)
+        parts = self._map(_shard_elementwise_matrix,
+                          lambda i: (self._piece(i), slices[i], op, reverse))
+        return self._with(parts, transposed=False)
 
     def _binary(self, op: str, other, reverse: bool):
         if _is_scalar(other):
-            return self._scalar_result(op, other, reverse=reverse)
+            return self._scalar(op, other, reverse=reverse)
         if is_matrix_like(other):
-            return self._elementwise_matrix_op(other, op, reverse=reverse)
+            return self._elementwise_matrix(other, op, reverse=reverse)
         return NotImplemented
 
     def __mul__(self, other):
@@ -696,11 +526,11 @@ class ShardedNormalizedMatrix:
 
     def __pow__(self, exponent):
         if _is_scalar(exponent):
-            return self._scalar_result("**", exponent, reverse=False)
+            return self._scalar("**", exponent, reverse=False)
         return NotImplemented
 
     def __neg__(self):
-        return self._scalar_result("*", -1.0, reverse=False)
+        return self._scalar("*", -1.0, reverse=False)
 
     # -- aggregations ----------------------------------------------------------
 
@@ -715,13 +545,13 @@ class ShardedNormalizedMatrix:
         return self._colsums_plain()
 
     def _rowsums_plain(self) -> np.ndarray:
-        return np.vstack(self.executor.map(_shard_rowsums, self.pieces))
+        return np.vstack(self._map(_shard_rowsums))
 
     def _colsums_plain(self) -> np.ndarray:
-        return _sum_partials(self.executor.map(_shard_colsums, self.pieces))
+        return _sum_partials(self._map(_shard_colsums))
 
     def total_sum(self) -> float:
-        return float(sum(self.executor.map(_shard_total_sum, self.pieces)))
+        return float(sum(self._map(_shard_total_sum)))
 
     def sum(self, axis: Optional[int] = None):
         if axis is None:
@@ -734,130 +564,132 @@ class ShardedNormalizedMatrix:
 
     # -- multiplication ---------------------------------------------------------
 
-    def __matmul__(self, other):
-        if isinstance(other, ShardedNormalizedMatrix):
+    def _align_rows(self, other) -> List:
+        """Row slices of *other* aligned with the pieces.
+
+        A partition with identical bounds (``T.T @ (T @ w)`` composes an LMM
+        result straight back in) contributes its pieces with no copying;
+        other logical operands are concretized first.
+        """
+        if isinstance(other, RowPartitioned):
+            if other.source is None and not other.transposed and other.bounds == self.bounds:
+                return list(other.pieces)
             other = other.materialize()
-        if not is_matrix_like(other) and not hasattr(other, "shape"):
+        elif not is_matrix_like(other):
+            other = other.to_dense()
+        return _split_rows(other, self.bounds)
+
+    def __matmul__(self, other):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        other = ensure_2d(other) if is_matrix_like(other) else other
         if self.transposed:
-            # T^T X = sum_i T_i^T X_i  (X row-aligned with the shards; X may
-            # itself be the sharded result of a previous LMM).
+            # T^T X = sum_i T_i^T X_i  (X row-aligned with the pieces).
             if other.shape[0] != self.logical_rows:
                 raise ShapeError(
                     f"matmul: inner dimensions do not agree {self.shape} @ {tuple(other.shape)}"
                 )
-            slices = _align_row_operand(other, self.bounds)
-            parts = self.executor.map(
-                _shard_transpose_matmul, list(zip(self.pieces, slices))
-            )
-            return _sum_partials(parts)
+            slices = self._align_rows(other)
+            return _sum_partials(self._map(_shard_transpose_matmul,
+                                           lambda i: (self._piece(i), slices[i])))
         if other.shape[0] != self.logical_cols:
             raise ShapeError(
                 f"matmul: inner dimensions do not agree {self.shape} @ {tuple(other.shape)}"
             )
-        if not is_matrix_like(other) and hasattr(other, "to_matrix"):
-            other = other.to_matrix()  # e.g. a (d x m) sharded/chunked operand
-        parts = self.executor.map(_shard_matmul, [(p, other) for p in self.pieces])
-        return self._sharded_result(parts)
+        if isinstance(other, RowPartitioned):
+            other = other.materialize()
+        return self._with(self._map(_shard_matmul, lambda i: (self._piece(i), other)))
 
     def __rmatmul__(self, other):
-        if not is_matrix_like(other):
+        other = _operand(other)
+        if other is None or not is_matrix_like(other):
             return NotImplemented
-        other = ensure_2d(other)
         if self.transposed:
-            # X T^T = (T X^T)^T: a sharded LMM whose parts concatenate.
+            # X T^T = (T X^T)^T: an LMM whose parts concatenate.
             if other.shape[1] != self.logical_cols:
                 raise ShapeError(
                     f"matmul: inner dimensions do not agree {tuple(other.shape)} @ {self.shape}"
                 )
             other_t = to_dense(other).T
-            parts = self.executor.map(_shard_matmul, [(p, other_t) for p in self.pieces])
-            return to_dense(la_ops.vstack([to_dense(p) for p in parts])).T
+            parts = self._map(_shard_matmul, lambda i: (self._piece(i), other_t))
+            return np.vstack([to_dense(p) for p in parts]).T
         if other.shape[1] != self.logical_rows:
             raise ShapeError(
                 f"matmul: inner dimensions do not agree {tuple(other.shape)} @ {self.shape}"
             )
         slices = _split_cols(other, self.bounds)
-        parts = self.executor.map(_shard_rmatmul, list(zip(slices, self.pieces)))
-        return _sum_partials(parts)
-
-    def dot(self, other) -> MatrixLike:
-        return self.__matmul__(other)
+        return _sum_partials(self._map(_shard_rmatmul,
+                                       lambda i: (self._piece(i), slices[i])))
 
     # -- cross-product and inversion ---------------------------------------------
 
     def crossprod(self, method: Optional[str] = None) -> np.ndarray:
-        """``crossprod(T) = T^T T`` as a sum of factorized per-shard Gram matrices.
+        """``crossprod(T) = T^T T`` as a sum of per-piece Gram matrices.
 
-        With the transpose flag set the result is ``T T^T``, assembled as a
-        block grid of pair products ``T_i T_j^T`` (each pair product runs
-        through the normalized double-multiply rewrites where available).
+        *method* selects the naive/efficient rewrite of normalized pieces and
+        is ignored by plain ones.  With the transpose flag set the result is
+        ``T T^T``, assembled as a block grid of pair products ``T_i T_j^T``
+        (each running through the normalized double-multiply rewrites where
+        available).
         """
         if self.transposed:
             # The grid is symmetric (block (j, i) = block (i, j)^T), so only
-            # the upper triangle's pair products are dispatched to the pool --
-            # k(k+1)/2 instead of k^2 -- and the mirror blocks are transposes.
-            k = self.num_shards
+            # the upper triangle's pair products are dispatched -- k(k+1)/2
+            # instead of k^2 -- and the mirror blocks are transposes.
+            k = self.num_pieces
             index_pairs = [(i, j) for i in range(k) for j in range(i, k)]
-            blocks = self.executor.map(
-                _shard_pair_outer,
-                [(self.pieces[i], self.pieces[j]) for i, j in index_pairs],
-            )
+            blocks = self._map(_shard_pair_outer,
+                               lambda ij: (self._piece(ij[0]), self._piece(ij[1])),
+                               index_pairs)
             grid: List[List] = [[None] * k for _ in range(k)]
             for (i, j), block in zip(index_pairs, blocks):
                 grid[i][j] = block
                 if i != j:
                     grid[j][i] = block.T
             return la_ops.block_grid(grid)
-        parts = self.executor.map(_shard_crossprod, [(p, method) for p in self.pieces])
+        parts = self._map(_shard_crossprod, lambda i: (self._piece(i), method))
         return _sum_partials([to_dense(p) for p in parts])
-
-    def gram(self) -> np.ndarray:
-        return self.crossprod()
 
     def ginv(self) -> np.ndarray:
         """Pseudo-inverse via the exact identity ``T^+ = (T^T T)^+ T^T``.
 
-        ``(T^T T)^+`` is a small ``d x d`` pseudo-inverse of the (parallel,
-        factorized) cross-product, and the trailing product is a sharded LMM:
+        ``(T^T T)^+`` is a small ``d x d`` pseudo-inverse of the per-piece
+        cross-product, and the trailing product is a partitioned LMM:
         ``(T^T T)^+ T^T = (T (T^T T)^+)^T`` because the Gram pseudo-inverse is
         symmetric.  ``ginv(T^T) = ginv(T)^T`` handles the transposed flag.
         """
         plain = self._plain()
         gram_inv = la_ops.ginv(plain.crossprod())
-        plain_ginv = to_dense((plain @ gram_inv).to_matrix()).T
+        plain_ginv = (plain @ gram_inv).to_dense().T
         return plain_ginv if not self.transposed else plain_ginv.T
 
     def solve(self, rhs: MatrixLike, ridge: float = 0.0) -> np.ndarray:
-        """Least-squares solve via the factorized, sharded normal equations."""
+        """Least-squares solve via the per-piece normal equations."""
         rhs = ensure_2d(rhs)
         if rhs.shape[0] != self.shape[0]:
             raise ShapeError(
                 f"solve: right-hand side has {rhs.shape[0]} rows but the matrix has {self.shape[0]}"
             )
         gram = self.crossprod()
-        # With the transpose flag set, self.T @ rhs is a sharded LMM whose
-        # result stays sharded; solve_regularized needs a plain matrix.
+        # With the transpose flag set, self.T @ rhs is a partitioned LMM whose
+        # result stays partitioned; solve_regularized needs a plain matrix.
         projected = generic.to_dense_result(self.T @ rhs)
         return la_ops.solve_regularized(gram, projected, ridge=ridge)
 
     # -- lazy evaluation -----------------------------------------------------------
 
     def lazy(self, cache=None):
-        """Lazy expression leaf over this sharded matrix.
+        """Lazy expression leaf over this partition.
 
         The lazy evaluator executes operator nodes through the operand's own
-        overloads, so graphs over a sharded leaf run shard-parallel, and the
-        attached :class:`~repro.core.lazy.cache.FactorizedCache` memoizes
+        overloads, so graphs over a partitioned leaf run piece by piece, and
+        the attached :class:`~repro.core.lazy.cache.FactorizedCache` memoizes
         join-invariant nodes exactly as for the eager normalized matrices --
-        memoization and parallel execution compose.
+        memoization and partitioned execution compose.
         """
         from repro.core.lazy import lazy_view
 
         return lazy_view(self, cache=cache)
-
-    # -- equality helpers -----------------------------------------------------------
 
     def equals_materialized(self, other: MatrixLike, rtol: float = 1e-9, atol: float = 1e-9
                             ) -> bool:
@@ -868,18 +700,29 @@ class ShardedNormalizedMatrix:
         return bool(np.allclose(mine, theirs, rtol=rtol, atol=atol))
 
 
-def _slice_piece(plain, start: int, stop: int):
-    """Row slice ``[start, stop)`` of an untransposed normalized matrix."""
-    from repro.core.mn_matrix import MNNormalizedMatrix
-    from repro.core.normalized_matrix import NormalizedMatrix
+# perfbench/tracer.py imports this name and wraps its operator methods, so
+# the traced benchmark keeps attributing partitioned work to core.shard.
+ShardedNormalizedMatrix = RowPartitioned
 
-    if isinstance(plain, NormalizedMatrix):
-        entity = plain.entity[start:stop, :] if plain.entity is not None else None
-        indicators = [k[start:stop, :] for k in plain.indicators]
-        return NormalizedMatrix(entity, indicators, plain.attributes, transposed=False,
-                                validate=False, crossprod_method=plain.crossprod_method)
-    if isinstance(plain, MNNormalizedMatrix):
-        indicators = [i[start:stop, :] for i in plain.indicators]
-        return MNNormalizedMatrix(indicators, plain.attributes, transposed=False,
-                                  validate=False, crossprod_method=plain.crossprod_method)
-    raise TypeError(f"cannot shard operands of type {type(plain).__name__}")
+
+def row_apply(matrix: RowPartitioned, fn: Callable[[MatrixLike], object],
+              pool: PoolSpec = None) -> list:
+    """Apply *fn* to every row piece of *matrix* and collect the results in order.
+
+    This is the Python analogue of ORE's ``ore.rowapply``: the function sees
+    one in-memory piece at a time and never the whole matrix.  By default the
+    pieces go through the matrix's own executor (serial for the chunked
+    backend and for a lazy source); passing *pool* (a spec accepted by
+    :func:`repro.la.parallel.resolve_pool`) maps them through that pool
+    instead.
+    """
+    if pool is None:
+        return matrix._map(fn)
+    pooled = RowPartitioned(matrix.pieces, pool=pool)
+    try:
+        return pooled._map(fn)
+    finally:
+        # Only tear down pools built here from a spec; caller-owned
+        # WorkerPool instances (resolve_pool returns them as-is) stay alive.
+        if pooled.executor.pool is not pool:
+            pooled.executor.pool.close()

@@ -4,15 +4,18 @@ The paper's central architectural claim is *closure*: because Morpheus only
 rewrites LA expressions into other LA expressions, it can run unchanged on any
 system that exposes the basic operator set -- standalone R, Oracle R
 Enterprise, SystemML, NumPy, and so on.  This module captures that idea as a
-small :class:`Backend` interface with three implementations:
+small :class:`Backend` interface with four implementations:
 
 * :class:`DenseBackend` -- plain NumPy arrays (the analogue of standalone R
   with dense matrices).
 * :class:`SparseBackend` -- SciPy CSR matrices (the analogue of R's ``Matrix``
   package used for the real sparse datasets).
 * :class:`ChunkedBackend` -- the out-of-core, row-partitioned execution model
-  of Oracle R Enterprise's ``ore.rowapply`` (see :mod:`repro.la.chunked`),
-  used by the Table 9 / Table 10 scalability experiments.
+  of Oracle R Enterprise's ``ore.rowapply``: a
+  :class:`~repro.core.shard.RowPartitioned` of fixed-size pieces on the
+  serial executor, used by the Table 9 / Table 10 scalability experiments.
+* :class:`ShardedBackend` -- the same row partition with balanced pieces
+  fanned out over a worker pool.
 
 The ML algorithms and rewrite rules never import a backend directly; they only
 use the primitives from :mod:`repro.la.ops`, which operate on whatever operand
@@ -106,45 +109,6 @@ class SparseBackend(Backend):
         return to_sparse(matrix, "csr").astype(np.float64)
 
 
-class FusedBackend(Backend):
-    """Serial in-memory storage executed through the fused kernel registry.
-
-    Storage is identical to :class:`DenseBackend` / :class:`SparseBackend`
-    (dense stays dense, sparse stays CSR): what distinguishes this backend is
-    *execution*, not layout.  Table-1 operators over normalized matrices run
-    through :mod:`repro.la.kernels`, whose active implementation set collapses
-    each factorized operator's indicator gather/scatter passes into a single
-    compiled loop when Numba is installed (the ``[kernels]`` extra) and into
-    vectorized NumPy indexing otherwise.  The planner scores a ``fused``
-    candidate only when the compiled set is importable -- the NumPy set
-    already serves every rewrite unconditionally, so there is nothing to
-    choose when Numba is absent.
-    """
-
-    name = "fused"
-    preserves_sparsity = True
-
-    def from_dense(self, array: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-
-    def from_sparse(self, matrix: sp.spmatrix) -> sp.csr_matrix:
-        return to_sparse(matrix, "csr").astype(np.float64)
-
-    def capabilities(self) -> dict:
-        from repro.la import kernels
-
-        caps = super().capabilities()
-        caps["compiled"] = kernels.compiled_available()
-        caps["kernel_set"] = kernels.best_available()
-        return caps
-
-    def describe(self) -> str:
-        from repro.la import kernels
-
-        status = "numba" if kernels.compiled_available() else "numpy fallback"
-        return f"fused kernel backend ({status})"
-
-
 class ChunkedBackend(Backend):
     """Store matrices row-partitioned, emulating ORE's ``ore.rowapply``.
 
@@ -169,14 +133,17 @@ class ChunkedBackend(Backend):
         return max(1, -(-int(n_rows) // self.chunk_rows))
 
     def from_dense(self, array: np.ndarray):
-        from repro.la.chunked import ChunkedMatrix
-
-        return ChunkedMatrix.from_matrix(np.asarray(array, dtype=np.float64), self.chunk_rows)
+        return self._chunk(np.asarray(array, dtype=np.float64))
 
     def from_sparse(self, matrix: sp.spmatrix):
-        from repro.la.chunked import ChunkedMatrix
+        return self._chunk(to_sparse(matrix, "csr").astype(np.float64))
 
-        return ChunkedMatrix.from_matrix(to_sparse(matrix, "csr").astype(np.float64), self.chunk_rows)
+    def _chunk(self, matrix):
+        from repro.core.shard import RowPartitioned, fixed_bounds
+
+        return RowPartitioned([matrix[start:stop, :] for start, stop
+                               in fixed_bounds(matrix.shape[0], self.chunk_rows)],
+                              pool="serial")
 
     def describe(self) -> str:
         return f"chunked backend (chunk_rows={self.chunk_rows})"
@@ -186,8 +153,8 @@ class ShardedBackend(Backend):
     """Store matrices row-sharded with a worker pool (parallel execution).
 
     The parallel counterpart of :class:`ChunkedBackend`: matrices become
-    :class:`~repro.core.shard.ShardedMatrix` instances whose Table-1
-    operators fan out over the configured pool (see
+    :class:`~repro.core.shard.RowPartitioned` instances with balanced pieces
+    whose Table-1 operators fan out over the configured pool (see
     :mod:`repro.la.parallel`).
 
     Parameters
@@ -214,16 +181,16 @@ class ShardedBackend(Backend):
         return min(self.n_shards, max(1, int(n_rows)))
 
     def from_dense(self, array: np.ndarray):
-        from repro.core.shard import ShardedMatrix
+        from repro.core.shard import RowPartitioned
 
-        return ShardedMatrix.from_matrix(
+        return RowPartitioned.from_matrix(
             np.asarray(array, dtype=np.float64), self.n_shards, pool=self.pool
         )
 
     def from_sparse(self, matrix: sp.spmatrix):
-        from repro.core.shard import ShardedMatrix
+        from repro.core.shard import RowPartitioned
 
-        return ShardedMatrix.from_matrix(
+        return RowPartitioned.from_matrix(
             to_sparse(matrix, "csr").astype(np.float64), self.n_shards, pool=self.pool
         )
 
@@ -234,7 +201,6 @@ class ShardedBackend(Backend):
 _REGISTRY = {
     "dense": DenseBackend,
     "sparse": SparseBackend,
-    "fused": FusedBackend,
     "chunked": ChunkedBackend,
     "sharded": ShardedBackend,
 }
@@ -242,8 +208,7 @@ _REGISTRY = {
 
 def get_backend(name: str, chunk_rows: Optional[int] = None,
                 n_shards: Optional[int] = None) -> Backend:
-    """Look up a backend by name (``dense``, ``sparse``, ``fused``, ``chunked``
-    or ``sharded``)."""
+    """Look up a backend by name (``dense``, ``sparse``, ``chunked`` or ``sharded``)."""
     key = name.lower()
     if key not in _REGISTRY:
         raise NotSupportedError(f"unknown backend {name!r}; expected one of {sorted(_REGISTRY)}")

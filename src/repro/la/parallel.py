@@ -1,19 +1,22 @@
-"""Worker pools and the fan-out/reduce executor behind sharded execution.
+"""Worker pools and the fan-out/reduce executor behind row-partitioned execution.
 
 The paper's scalability experiments (Section 5.2.4, Tables 9 and 10) stream
-row chunks through a *serial* ORE-style loop; :mod:`repro.la.chunked` emulates
-that faithfully.  This module provides the piece that loop is missing: a small
-pool abstraction (:class:`SerialPool`, :class:`ThreadPool`,
-:class:`ProcessPool`, or any user-supplied ``concurrent.futures`` executor)
-and a :class:`ParallelExecutor` that fans a function out over row shards and
-collects the partial results in order.
+row chunks through a *serial* ORE-style loop.  A
+:class:`~repro.core.shard.RowPartitioned` operand is that loop with a
+pluggable executor: this module provides a small pool abstraction
+(:class:`SerialPool`, :class:`ThreadPool`, :class:`ProcessPool`, or any
+user-supplied ``concurrent.futures`` executor) and a
+:class:`ParallelExecutor` that fans a function out over row pieces and
+collects the partial results in order.  The chunked backend and a lazy
+(streamed) source use the serial pool; ``NormalizedMatrix.shard()`` defaults
+to threads.
 
 Morpheus-style factorized operators are embarrassingly parallel over row
 shards of the entity and indicator matrices -- every Table-1 operator either
 concatenates per-shard results (LMM, ``rowSums``, element-wise ops) or sums
 them (RMM, ``crossprod``, ``colSums``, ``sum``) -- so the executor only ever
-needs an order-preserving ``map``.  The sharded operand types in
-:mod:`repro.core.shard` build on exactly that.
+needs an order-preserving ``map``.  The one row-partitioned operand in
+:mod:`repro.core.shard` builds on exactly that.
 
 Pool choice matters because of the GIL (see ``docs/parallelism.md``): NumPy
 and SciPy release the GIL inside their C kernels, so :class:`ThreadPool` is
@@ -213,7 +216,7 @@ def resolve_pool(pool: PoolSpec = None, default_max_workers: Optional[int] = Non
 class ParallelExecutor:
     """Fans shard-local work out across a pool and reduces the partials.
 
-    This is the one seam every sharded operand type shares: hand it a
+    This is the one seam every row-partitioned operand shares: hand it a
     module-level shard function (so process pools can pickle it) and a list of
     per-shard argument tuples; get the ordered partial results back, ready for
     a concatenating or summing reduction.  A single-item fan-out skips the

@@ -116,7 +116,8 @@ class IterativeEstimator(abc.ABC):
         effective shard count above one the fit wraps the data in the sharded
         backend of :mod:`repro.core.shard` -- normalized matrices via their
         ``.shard()`` method (keeping every shard factorized), plain
-        dense/sparse matrices via :class:`~repro.core.shard.ShardedMatrix` --
+        dense/sparse matrices via
+        :meth:`~repro.core.shard.RowPartitioned.from_matrix` --
         and the same estimator code runs unchanged over the shards.  Composes
         with ``engine="lazy"``: the graphs are built over the sharded operand
         and memoized results are computed shard-parallel once.
@@ -342,8 +343,9 @@ def shard_for_jobs(data, n_jobs: int):
 
     Normalized matrices shard through their own ``.shard()`` method so every
     shard stays factorized; plain dense/sparse matrices become a
-    :class:`~repro.core.shard.ShardedMatrix`; already-sharded and chunked
-    operands (and lazy views over them) pass through unchanged.
+    :class:`~repro.core.shard.RowPartitioned`; already-partitioned operands
+    (chunked, sharded, streamed, and lazy views over them) pass through
+    unchanged.
 
     Two details keep the lazy engine's warm-cache contract intact under
     sharding.  The shard view is memoized per ``(object, shard count)`` on
@@ -366,10 +368,10 @@ def shard_for_jobs(data, n_jobs: int):
         from repro.la.types import is_matrix_like
 
         if not is_matrix_like(concrete):
-            return data  # chunked / already-sharded operands pass through
-        from repro.core.shard import ShardedMatrix
+            return data  # already-partitioned operands pass through
+        from repro.core.shard import RowPartitioned
 
-        sharded = ShardedMatrix.from_matrix(concrete, jobs)
+        sharded = RowPartitioned.from_matrix(concrete, jobs)
     if cache is not None:
         return sharded.lazy(cache=cache)
     return sharded

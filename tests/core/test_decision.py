@@ -1,17 +1,13 @@
 """Tests for the heuristic decision rule and the morpheus factory (Sections 3.7 / 5.1)."""
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 
 from repro.core.cost import Dimensions
 from repro.core.decision import (
     DEFAULT_FEATURE_RATIO_THRESHOLD,
     DEFAULT_TUPLE_RATIO_THRESHOLD,
-    CostBasedStrategy,
     DecisionRule,
-    ThresholdStrategy,
-    get_strategy,
     morpheus,
     morpheus_mn,
     should_factorize,
@@ -125,25 +121,17 @@ class TestBoundaryAndDegenerateInputs:
 
 
 class TestStrategies:
-    """The threshold rule and the cost-based planner behind one interface."""
-
-    def test_get_strategy_by_name(self):
-        assert isinstance(get_strategy("threshold"), ThresholdStrategy)
-        assert isinstance(get_strategy("cost"), CostBasedStrategy)
-
-    def test_get_strategy_passthrough_and_unknown(self):
-        strategy = ThresholdStrategy()
-        assert get_strategy(strategy) is strategy
-        with pytest.raises(ValueError, match="unknown execution strategy"):
-            get_strategy("oracle")
+    """The two decision procedures: the paper's threshold rule behind
+    ``morpheus(rule=)`` and the cost-based planner behind ``plan()``."""
 
     def test_threshold_strategy_matches_rule(self, single_join_dense):
-        _, normalized, _ = single_join_dense
-        strategy = ThresholdStrategy()
-        assert strategy.should_factorize(normalized) == DecisionRule().predict(
+        dataset, normalized, _ = single_join_dense
+        rule = DecisionRule()
+        out = morpheus(dataset.entity, dataset.indicators, dataset.attributes, rule=rule)
+        assert isinstance(out, NormalizedMatrix) == rule.predict(
             normalized.tuple_ratio, normalized.feature_ratio
         )
-        assert "tuple_ratio" in strategy.explain(normalized)
+        assert "tuple_ratio" in rule.explain(normalized.tuple_ratio, normalized.feature_ratio)
 
     @staticmethod
     def _arithmetic_only_planner():
@@ -161,32 +149,9 @@ class TestStrategies:
 
     def test_cost_strategy_factorizes_redundant_data(self, single_join_dense):
         _, normalized, _ = single_join_dense
-        strategy = CostBasedStrategy(planner=self._arithmetic_only_planner())
-        assert strategy.should_factorize(normalized)
-        assert "chosen:" in strategy.explain(normalized)
-
-    def test_morpheus_accepts_strategy_argument(self, single_join_dense):
-        dataset, _, _ = single_join_dense
-        strategy = CostBasedStrategy(planner=self._arithmetic_only_planner())
-        out = morpheus(dataset.entity, dataset.indicators, dataset.attributes,
-                       strategy=strategy)
-        assert isinstance(out, NormalizedMatrix)
-
-    def test_morpheus_rejects_rule_and_strategy_together(self, single_join_dense):
-        # A custom rule silently ignored because strategy= was also given
-        # would be a trap; the conflict raises instead.
-        dataset, _, _ = single_join_dense
-        with pytest.raises(ValueError, match="not both"):
-            morpheus(dataset.entity, dataset.indicators, dataset.attributes,
-                     rule=DecisionRule(tuple_ratio_threshold=2.0),
-                     strategy="threshold")
-
-    def test_cost_strategy_memoizes_decide_then_explain(self, single_join_dense):
-        _, normalized, _ = single_join_dense
-        strategy = CostBasedStrategy(planner=self._arithmetic_only_planner())
-        strategy.should_factorize(normalized)
-        first = strategy.plan(normalized)
-        assert strategy.plan(normalized) is first  # no second scoring pass
+        plan = normalized.plan(planner=self._arithmetic_only_planner())
+        assert plan.factorized
+        assert "chosen:" in plan.explain()
 
 
 class TestMorpheusFactory:

@@ -359,14 +359,10 @@ class TestSurfaceIntegration:
 
     def test_backend_capabilities_registry(self):
         caps = backend_capabilities()
-        assert set(caps) == {"dense", "sparse", "fused", "chunked", "sharded"}
+        assert set(caps) == {"dense", "sparse", "chunked", "sharded"}
         assert caps["sharded"]["parallel"] is True
         assert caps["chunked"]["out_of_core"] is True
         assert caps["dense"]["parallel"] is False
-        # The fused backend advertises whether the compiled set can run and
-        # which kernel set best_available() resolves to.
-        assert caps["fused"]["kernel_set"] in ("numba", "numpy")
-        assert caps["fused"]["compiled"] == (caps["fused"]["kernel_set"] == "numba")
 
     def test_backend_partitions_for(self):
         from repro.la.backend import ChunkedBackend, DenseBackend, ShardedBackend
@@ -435,15 +431,15 @@ class TestSurfaceIntegration:
         assert plan.n_jobs == 3  # clamped like shard_bounds itself
 
     def test_describe_data_plain_sharded_operand(self):
-        from repro.core.shard import ShardedMatrix
+        from repro.core.shard import RowPartitioned
 
-        sharded = ShardedMatrix.from_matrix(np.ones((60, 5)), 4, pool="thread")
+        sharded = RowPartitioned.from_matrix(np.ones((60, 5)), 4, pool="thread")
         profile = describe_data(sharded)
         assert profile.kind == "sharded"
         assert profile.layouts == (False,)
         assert profile.partitions == 4
         assert profile.parallel_partitions
-        assert describe_data(sharded.T).kind == "sharded"  # transposed view
+        assert describe_data(sharded.T).kind == "sharded"  # transposed flag
         plan = Planner(calibration=CalibrationProfile.default()).plan(sharded)
         assert plan.n_jobs == 4
         assert plan.backend == "sharded"
@@ -456,21 +452,34 @@ class TestSurfaceIntegration:
         assert plan.threshold_rule_choice in ("factorize", "materialize")
 
     def test_describe_data_chunked_operand(self):
-        from repro.la.chunked import ChunkedMatrix
+        from repro.la.backend import ChunkedBackend
 
-        chunked = ChunkedMatrix.from_matrix(np.ones((100, 4)), chunk_rows=30)
+        chunked = ChunkedBackend(chunk_rows=30).from_dense(np.ones((100, 4)))
         profile = describe_data(chunked)
         assert profile.kind == "chunked"
         assert profile.layouts == (False,)
         assert profile.partitions == 4
-        assert describe_data(chunked.T).kind == "chunked"  # transposed view
+        assert describe_data(chunked.T).kind == "chunked"  # transposed flag
+
+    def test_describe_data_keys_partitions_on_piece_type(self, single_join_dense):
+        _, normalized, _ = single_join_dense
+        sharded = describe_data(normalized.shard(3, pool="thread"))
+        assert sharded.kind == "sharded-normalized"
+        assert sharded.layouts == (True,)
+        assert sharded.partitions == 3 and sharded.parallel_partitions
+        streamed = normalized.stream(batch_rows=50)
+        profile = describe_data(streamed)
+        assert profile.kind == "sharded-normalized"
+        assert profile.partitions == streamed.num_pieces
+        assert not profile.parallel_partitions
+        assert profile.factorized_bytes == describe_data(normalized).factorized_bytes
 
     def test_chunked_operand_plan_reports_chunked_backend(self):
-        from repro.la.chunked import ChunkedMatrix
+        from repro.la.backend import ChunkedBackend
 
         planner = Planner(calibration=CalibrationProfile.default(),
                           shard_candidates=(2, 4))
-        chunked = ChunkedMatrix.from_matrix(np.ones((100, 4)), chunk_rows=10)
+        chunked = ChunkedBackend(chunk_rows=10).from_dense(np.ones((100, 4)))
         plan = planner.plan(chunked, WorkloadDescriptor.logistic_regression(5))
         assert all(c.backend == "chunked" and c.n_shards == 1
                    for c in plan.candidates)
@@ -515,12 +524,12 @@ class TestSurfaceIntegration:
         # Chunked operands pass through shard_for_jobs unchanged, so a sharded
         # plan could never be realized: the resolver pins the shard axis and
         # the reported plan matches what actually runs.
-        from repro.la.chunked import ChunkedMatrix
+        from repro.la.backend import ChunkedBackend
         from repro.ml.linear_regression import LinearRegressionGD
 
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((64, 5))
-        chunked = ChunkedMatrix.from_matrix(dense, chunk_rows=16)
+        chunked = ChunkedBackend(chunk_rows=16).from_dense(dense)
         y = rng.standard_normal(64)
         model = LinearRegressionGD(max_iter=3, step_size=1e-3, engine="auto")
         model.planner = Planner(calibration=CalibrationProfile.default(),
@@ -566,7 +575,7 @@ class TestSurfaceIntegration:
         assert profile.n_rows == normalized.shape[0]
         assert profile.n_cols == normalized.shape[1]
         assert profile.num_joins == normalized.num_joins
-        assert profile.partitions == sharded.num_shards
+        assert profile.partitions == sharded.num_pieces
         assert not profile.parallel_partitions  # serial pool: no speedup
         assert describe_data(normalized.shard(3, pool="thread")).parallel_partitions
         # transposed wrapper: same untransposed dimensions

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import NormalizedBatchIterator, StreamedMatrix
+from repro.core import NormalizedBatchIterator, RowPartitioned
+from repro.core import shard as shard_module
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
 from repro.core.planner.memory import (
@@ -123,16 +124,18 @@ class TestNormalizedBatchIterator:
 
 
 class TestStreamedMatrix:
+    """A RowPartitioned over a lazy row-slice source (``RowPartitioned.streamed``)."""
+
     @pytest.fixture(params=["star", "mn", "plain"])
     def view_and_dense(self, request, multi_join_dense, mn_dataset, rng):
         if request.param == "star":
             _, normalized, dense = multi_join_dense
-            return StreamedMatrix(normalized, batch_rows=23), np.asarray(dense)
+            return RowPartitioned.streamed(normalized, batch_rows=23), np.asarray(dense)
         if request.param == "mn":
             _, normalized, dense = mn_dataset
-            return StreamedMatrix(normalized, batch_rows=11), np.asarray(dense)
+            return RowPartitioned.streamed(normalized, batch_rows=11), np.asarray(dense)
         dense = rng.standard_normal((37, 6))
-        return StreamedMatrix(dense, batch_rows=10), dense
+        return RowPartitioned.streamed(dense, batch_rows=10), dense
 
     def test_operator_surface_matches_dense(self, view_and_dense, rng):
         view, dense = view_and_dense
@@ -141,7 +144,7 @@ class TestStreamedMatrix:
         w = rng.standard_normal((2, n))
         y = rng.standard_normal((n, 2))
         assert view.shape == dense.shape
-        assert np.allclose(view @ x, dense @ x)
+        assert np.allclose((view @ x).to_dense(), dense @ x)
         assert np.allclose(w @ view, w @ dense)
         assert np.allclose(view.T @ y, dense.T @ y)
         assert np.allclose(view.crossprod(), dense.T @ dense)
@@ -155,8 +158,8 @@ class TestStreamedMatrix:
         view, dense = view_and_dense
         x = rng.standard_normal((dense.shape[1], 2))
         scaled = 2.5 * view
-        assert isinstance(scaled, StreamedMatrix)
-        assert np.allclose(scaled @ x, (2.5 * dense) @ x)
+        assert isinstance(scaled, RowPartitioned) and scaled.source is view.source
+        assert np.allclose((scaled @ x).to_dense(), (2.5 * dense) @ x)
         assert np.allclose((view + 1.0).rowsums(), (dense + 1.0).sum(axis=1, keepdims=True))
         assert np.allclose((1.0 - view).colsums(), (1.0 - dense).sum(axis=0, keepdims=True))
         assert np.allclose((view / 2.0).total_sum(), (dense / 2.0).sum())
@@ -168,12 +171,12 @@ class TestStreamedMatrix:
     def test_elementwise_matrix_op_streams_and_matches(self, view_and_dense, rng):
         view, dense = view_and_dense
         other = rng.standard_normal(dense.shape)
-        assert np.allclose(view * other, dense * other)
-        assert np.allclose(view.T + other.T, dense.T + other.T)
+        assert np.allclose((view * other).to_dense(), dense * other)
+        assert np.allclose((view.T + other.T).to_dense(), dense.T + other.T)
 
     def test_solve_matches_lstsq(self, multi_join_dense, rng):
         _, normalized, dense = multi_join_dense
-        view = StreamedMatrix(normalized, batch_rows=19)
+        view = RowPartitioned.streamed(normalized, batch_rows=19)
         rhs = rng.standard_normal((dense.shape[0], 1))
         expected = np.linalg.lstsq(np.asarray(dense), rhs, rcond=None)[0]
         assert np.allclose(view.solve(rhs), expected, atol=1e-6)
@@ -198,7 +201,7 @@ class TestStreamedMatrix:
         # sources (scipy rejects sparse + nonzero scalar).
         matrix = sp.random(12, 4, density=0.5, random_state=0, format="csr")
         dense = np.asarray(matrix.todense())
-        view = StreamedMatrix(matrix, batch_rows=5)
+        view = RowPartitioned.streamed(matrix, batch_rows=5)
         shifted = view + 2.0
         assert shifted.source is view.source  # deferred: no transformed copy
         assert np.allclose(shifted.rowsums(), (dense + 2.0).sum(axis=1, keepdims=True))
@@ -214,10 +217,89 @@ class TestStreamedMatrix:
         _, normalized, materialized = single_join_dense
         n, d = materialized.shape
         view = normalized.stream(memory_budget=29 * d * 8)
-        assert isinstance(view, StreamedMatrix)
-        assert 1 <= view.batch_rows < n
-        assert view.num_batches > 1
+        assert isinstance(view, RowPartitioned) and view.source is normalized
+        assert view.executor.pool.name == "serial"
+        assert 1 <= view.bounds[0][1] < n
+        assert view.num_pieces > 1
         assert np.allclose(view.crossprod(), materialized.T @ materialized)
+
+    def test_apply_delta_only_on_a_streamed_normalized_source(self, single_join_dense, rng):
+        from repro.core.delta import MatrixDelta
+
+        _, normalized, _ = single_join_dense
+        attribute = normalized.attributes[0]
+        delta = MatrixDelta.upsert([0, 3], rng.standard_normal((2, attribute.shape[1])),
+                                   attribute, version=normalized.version + 1)
+        patched = (2.0 * normalized.stream(batch_rows=7)).apply_delta(0, delta)
+        expected = 2.0 * normalized.apply_delta(0, delta).to_dense()
+        assert np.allclose(patched.to_dense(), expected)
+        for view in (normalized.shard(2, pool="serial"),
+                     RowPartitioned.streamed(np.ones((4, 2)), batch_rows=2)):
+            with pytest.raises(NotSupportedError):
+                view.apply_delta(0, delta)
+
+    def test_lazy_source_holds_at_most_one_produced_piece(self, multi_join_dense, rng):
+        _, normalized, dense = multi_join_dense
+        dense = np.asarray(dense)
+        source = _CountingSource(normalized)
+        view = RowPartitioned.streamed(source, batch_rows=13)
+        assert view.num_pieces > 2
+        n, d = dense.shape
+        x = rng.standard_normal((d, 2))
+        w = rng.standard_normal((3, n))
+        y = rng.standard_normal((n, 2))
+        assert np.allclose((view @ x).to_dense(), dense @ x)
+        assert np.allclose(w @ view, w @ dense)
+        assert np.allclose(view.T @ y, dense.T @ y)
+        assert np.allclose(view.crossprod(), dense.T @ dense)
+        chained = (2 * view).apply(np.exp)
+        assert np.allclose(chained.colsums(), np.exp(2 * dense).sum(axis=0, keepdims=True))
+        assert source.produced >= 5 * view.num_pieces
+        assert source.peak_alive == 1
+
+    def test_scaled_normalized_batches_stay_factorized(self, single_join_dense, rng,
+                                                       monkeypatch):
+        _, normalized, materialized = single_join_dense
+        seen = []
+        original = shard_module._shard_matmul
+
+        def recording_matmul(args):
+            seen.append(type(args[0]))
+            return original(args)
+
+        monkeypatch.setattr(shard_module, "_shard_matmul", recording_matmul)
+        view = normalized.stream(batch_rows=17)
+        w = rng.standard_normal((materialized.shape[1], 1))
+        result = (2 * view) @ w
+        assert np.allclose(result.to_dense(), 2 * materialized @ w)
+        assert len(seen) == view.num_pieces > 1
+        assert set(seen) == {NormalizedMatrix}
+
+
+class _CountingSource:
+    """A row-selectable source whose produced row slices are tracked by weakref."""
+
+    transposed = False
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.produced = 0
+        self.alive = 0
+        self.peak_alive = 0
+
+    def take_rows(self, indices):
+        import weakref
+
+        piece = self.matrix.take_rows(indices)
+        self.produced += 1
+        self.alive += 1
+        self.peak_alive = max(self.peak_alive, self.alive)
+        weakref.finalize(piece, self._release)
+        return piece
+
+    def _release(self):
+        self.alive -= 1
 
 
 class TestMemoryModel:
@@ -297,10 +379,10 @@ class TestPlannerMemoryDimension:
     def test_unstreamable_operand_over_budget_raises(self, rng):
         dense = rng.standard_normal((64, 8))
         chunked_planner = self._planner(8)  # 1 element worth of budget
-        from repro.la.chunked import ChunkedMatrix
+        from repro.la.backend import ChunkedBackend
 
         with pytest.raises(PlanningError):
-            chunked_planner.plan(ChunkedMatrix.from_matrix(dense, 16))
+            chunked_planner.plan(ChunkedBackend(16).from_dense(dense))
 
     def test_plan_json_round_trips_batch_rows(self, single_join_dense):
         import json
@@ -328,7 +410,7 @@ class TestZeroRowStreaming:
         indicator = sp.csr_matrix((0, 3))
         normalized = NormalizedMatrix(np.zeros((0, 1)), [indicator], [attribute],
                                       validate=False)
-        view = StreamedMatrix(normalized, batch_rows=4)
+        view = RowPartitioned.streamed(normalized, batch_rows=4)
         assert view.shape == (0, 3)
         assert view.colsums().shape == (1, 3)
         assert view.total_sum() == 0.0

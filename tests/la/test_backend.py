@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import NotSupportedError
+from repro.core.shard import RowPartitioned
 from repro.la.backend import ChunkedBackend, DenseBackend, SparseBackend, get_backend
-from repro.la.chunked import ChunkedMatrix
 
 
 class TestDenseBackend:
@@ -45,14 +45,16 @@ class TestChunkedBackend:
     def test_from_dense_returns_chunked(self):
         backend = ChunkedBackend(chunk_rows=4)
         out = backend.from_dense(np.ones((10, 2)))
-        assert isinstance(out, ChunkedMatrix)
-        assert out.num_chunks == 3
+        assert isinstance(out, RowPartitioned)
+        assert out.num_pieces == 3
+        assert out.executor.pool.name == "serial"
 
     def test_from_sparse_returns_chunked(self):
         backend = ChunkedBackend(chunk_rows=5)
         out = backend.from_sparse(sp.eye(12, format="csr"))
-        assert isinstance(out, ChunkedMatrix)
+        assert isinstance(out, RowPartitioned)
         assert out.shape == (12, 12)
+        assert all(sp.issparse(p) for p in out.pieces)
 
     def test_invalid_chunk_rows(self):
         with pytest.raises(ValueError):

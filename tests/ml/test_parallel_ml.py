@@ -8,8 +8,9 @@ within floating-point reassociation (and bit-for-bit when ``n_jobs=1``).
 import numpy as np
 import pytest
 
-from repro.core.shard import ShardedNormalizedMatrix
-from repro.la.chunked import ChunkedMatrix
+from repro.core.normalized_matrix import NormalizedMatrix
+from repro.core.shard import RowPartitioned
+from repro.la.backend import ChunkedBackend
 from repro.ml.base import effective_n_jobs, shard_for_jobs, validate_n_jobs
 from repro.ml.gnmf import GNMF
 from repro.ml.kmeans import KMeans
@@ -62,18 +63,19 @@ class TestShardForJobs:
     def test_normalized_matrix_shards_factorized(self, regression_problem):
         normalized, _, _ = regression_problem
         sharded = shard_for_jobs(normalized, 3)
-        assert isinstance(sharded, ShardedNormalizedMatrix)
-        assert sharded.num_shards == 3
+        assert isinstance(sharded, RowPartitioned)
+        assert all(isinstance(p, NormalizedMatrix) for p in sharded.pieces)
+        assert sharded.num_pieces == 3
 
     def test_plain_matrix_becomes_sharded_matrix(self, regression_problem):
         _, materialized, _ = regression_problem
         sharded = shard_for_jobs(materialized, 2)
-        assert sharded.num_shards == 2
+        assert sharded.num_pieces == 2
         assert np.array_equal(sharded.to_dense(), materialized)
 
     def test_chunked_operand_passes_through(self, regression_problem):
         _, materialized, _ = regression_problem
-        chunked = ChunkedMatrix.from_matrix(materialized, 16)
+        chunked = ChunkedBackend(16).from_dense(materialized)
         assert shard_for_jobs(chunked, 4) is chunked
 
     def test_lazy_view_is_resharded_keeping_its_cache(self, regression_problem):
@@ -86,7 +88,7 @@ class TestShardForJobs:
         view = normalized.lazy(cache=cache)
         dispatched = shard_for_jobs(view, 2)
         assert isinstance(dispatched, LeafExpr)
-        assert isinstance(dispatched.value, ShardedNormalizedMatrix)
+        assert isinstance(dispatched.value, RowPartitioned)
         assert dispatched.cache is cache
 
     def test_shard_view_is_memoized_per_matrix_and_count(self, regression_problem):
@@ -96,7 +98,7 @@ class TestShardForJobs:
         second = shard_for_jobs(normalized, 3)
         other = shard_for_jobs(normalized, 2)
         assert first is second
-        assert other is not first and other.num_shards == 2
+        assert other is not first and other.num_pieces == 2
 
     def test_lazy_fit_cache_is_warm_across_fits(self, regression_problem):
         normalized, _, y = regression_problem

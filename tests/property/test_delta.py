@@ -12,8 +12,8 @@ recompute** to within ``1e-8`` at every level of the stack:
   :mod:`repro.core.rewrite.delta` equals the freshly computed term -- and is
   genuinely served from the cache (hits observed, no recompute);
 * every execution backend view of the successor (chunked, sharded, plain
-  sharded, streamed -- including the ``StreamedMatrix.apply_delta``
-  passthrough) agrees with the post-delta dense reference;
+  sharded, streamed -- including the ``RowPartitioned.apply_delta``
+  passthrough of a streamed view) agrees with the post-delta dense reference;
 * a serving partial patched by :func:`repro.serve.snapshot.patch_partial`
   is bit-compatible with :func:`~repro.serve.snapshot.compute_partial` on
   the post-delta table.
@@ -33,7 +33,6 @@ from repro.core.lazy.expr import constant
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import DeltaPolicy
-from repro.core.stream import StreamedMatrix
 from repro.exceptions import DeltaError
 from repro.serve.snapshot import compute_partial, patch_partial
 
@@ -156,7 +155,7 @@ def run_delta_case(seed: int) -> None:
     for backend in SUCCESSOR_BACKENDS:
         if backend == "streamed":
             batch_rows = int(rng.integers(1, n + 1))
-            streamed = StreamedMatrix(case.normalized, batch_rows=batch_rows)
+            streamed = case.normalized.stream(batch_rows=batch_rows)
             view = streamed.apply_delta(table_index, delta, policy=ALWAYS_PATCH)
         else:
             view = build_view(backend, _SuccessorCase, rng)

@@ -8,14 +8,16 @@ reference computed on the materialized ``T`` to within ``1e-8``:
 
 * ``normalized-dense`` / ``normalized-sparse`` -- the eager factorized
   rewrites of :class:`NormalizedMatrix` / :class:`MNNormalizedMatrix`;
-* ``chunked``             -- the serial ORE-style :class:`ChunkedMatrix`;
-* ``sharded``             -- the parallel factorized
-  :class:`ShardedNormalizedMatrix` (random shard count, serial and thread
-  pools);
-* ``sharded-matrix``      -- the parallel plain :class:`ShardedMatrix`;
-* ``streamed``            -- the out-of-core :class:`StreamedMatrix`
-  (random batch size), whose operators visit the factorized operand one
-  ``take_rows`` batch at a time;
+* ``chunked``             -- the serial ORE-style chunked backend: a
+  :class:`RowPartitioned` of fixed-size plain pieces (random chunk size);
+* ``sharded``             -- ``NormalizedMatrix.shard()``: a
+  :class:`RowPartitioned` of normalized pieces (random shard count, serial
+  and thread pools);
+* ``sharded-matrix``      -- a :class:`RowPartitioned` of balanced plain
+  pieces;
+* ``streamed``            -- ``NormalizedMatrix.stream()``: a
+  :class:`RowPartitioned` over a lazy row-slice source (random batch size),
+  whose operators visit the factorized operand one batch at a time;
 * ``fused``               -- the factorized rewrites executed with the best
   available fused kernel set forced active (:mod:`repro.la.kernels`): the
   compiled Numba set when the ``[kernels]`` extra is installed, the
@@ -39,9 +41,8 @@ import scipy.sparse as sp
 
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.shard import ShardedMatrix
-from repro.core.stream import StreamedMatrix
-from repro.la.chunked import ChunkedMatrix
+from repro.core.shard import RowPartitioned
+from repro.la.backend import ChunkedBackend
 from repro.la.ops import indicator_from_labels
 
 ATOL = 1e-8
@@ -52,11 +53,6 @@ BACKENDS = ("normalized-dense", "normalized-sparse", "chunked", "sharded",
 BATCHES = 20
 CASES_PER_BATCH = 10
 CASES_PER_BACKEND = BATCHES * CASES_PER_BATCH  # 200 generated cases per backend
-
-#: Operators the chunked / plain-sharded backends do not implement (they hold
-#: the already-materialized matrix, so element-wise matrix arithmetic against
-#: a second full-size operand is the only hole; chunked also lacks it).
-_MATRIX_ELEMWISE = "elementwise-matrix"
 
 
 @dataclass
@@ -187,17 +183,17 @@ def build_view(backend: str, case: Case, rng: np.random.Generator):
         return case.normalized
     if backend == "chunked":
         chunk_rows = int(rng.integers(1, case.dense.shape[0] + 1))
-        return ChunkedMatrix.from_matrix(case.dense, chunk_rows)
+        return ChunkedBackend(chunk_rows).from_dense(case.dense)
     if backend == "sharded":
         n_shards = int(rng.integers(1, 7))
         pool = "thread" if rng.random() < 0.3 else "serial"
         return case.normalized.shard(n_shards, pool=pool)
     if backend == "sharded-matrix":
         n_shards = int(rng.integers(1, 7))
-        return ShardedMatrix.from_matrix(case.dense, n_shards, pool="serial")
+        return RowPartitioned.from_matrix(case.dense, n_shards, pool="serial")
     if backend == "streamed":
         batch_rows = int(rng.integers(1, case.dense.shape[0] + 1))
-        return StreamedMatrix(case.normalized, batch_rows=batch_rows)
+        return case.normalized.stream(batch_rows=batch_rows)
     if backend == "fused":
         return case.normalized
     raise AssertionError(f"unknown backend {backend!r}")
@@ -211,20 +207,25 @@ def _as_dense(value) -> np.ndarray:
     return np.asarray(value)
 
 
-def operator_checks(view, dense: np.ndarray, rng: np.random.Generator,
-                    backend: str) -> List[Tuple[str, Callable[[], object], np.ndarray]]:
+def operator_checks(view, dense: np.ndarray, rng: np.random.Generator
+                    ) -> List[Tuple[str, Callable[[], object], np.ndarray]]:
     """(name, compute, expected) triples covering the Table-1 operator set."""
     n, d = dense.shape
     x = rng.standard_normal((d, int(rng.integers(1, 4))))
     w = rng.standard_normal((int(rng.integers(1, 4)), n))
     y = rng.standard_normal((n, int(rng.integers(1, 3))))
+    v = rng.standard_normal((int(rng.integers(1, 4)), d))
     scalar = float(rng.uniform(0.5, 3.0))
+    other = rng.standard_normal((n, d))
     checks = [
         ("lmm", lambda: view @ x, dense @ x),
         ("rmm", lambda: w @ view, w @ dense),
         ("transposed-lmm", lambda: view.T @ y, dense.T @ y),
+        ("transposed-rmm", lambda: v @ view.T, v @ dense.T),
         ("crossprod", lambda: view.crossprod(), dense.T @ dense),
+        ("transposed-crossprod", lambda: view.T.crossprod(), dense @ dense.T),
         ("rowsums", lambda: view.rowsums(), dense.sum(axis=1, keepdims=True)),
+        ("transposed-rowsums", lambda: view.T.rowsums(), dense.sum(axis=0)[:, None]),
         ("colsums", lambda: view.colsums(), dense.sum(axis=0, keepdims=True)),
         ("total-sum", lambda: np.asarray(view.total_sum()), np.asarray(dense.sum())),
         ("scalar-mul", lambda: (view * scalar) @ x, (dense * scalar) @ x),
@@ -235,18 +236,11 @@ def operator_checks(view, dense: np.ndarray, rng: np.random.Generator,
         ("scalar-div", lambda: (view / scalar).rowsums(),
          (dense / scalar).sum(axis=1, keepdims=True)),
         ("square", lambda: (view ** 2).colsums(), (dense ** 2).sum(axis=0, keepdims=True)),
+        ("negate", lambda: (-view).rowsums(), -dense.sum(axis=1, keepdims=True)),
+        ("apply-exp", lambda: view.apply(np.exp).colsums(),
+         np.exp(dense).sum(axis=0, keepdims=True)),
+        ("elementwise-matrix", lambda: view * other, dense * other),
     ]
-    if hasattr(view, "__neg__"):  # ChunkedMatrix spells negation as * -1 only
-        checks.append(("negate", lambda: (-view).rowsums(), -dense.sum(axis=1, keepdims=True)))
-    if hasattr(view, "apply"):
-        checks.append(("apply-exp", lambda: view.apply(np.exp).colsums(),
-                       np.exp(dense).sum(axis=0, keepdims=True)))
-    elif hasattr(view, "elementwise"):
-        checks.append(("elementwise-exp", lambda: view.elementwise(np.exp).colsums(),
-                       np.exp(dense).sum(axis=0, keepdims=True)))
-    if backend != "chunked":
-        other = rng.standard_normal((n, d))
-        checks.append((_MATRIX_ELEMWISE, lambda: view * other, dense * other))
     return checks
 
 
@@ -266,7 +260,7 @@ def run_case(backend: str, seed: int) -> None:
 
 
 def _run_checks(backend: str, seed: int, case: Case, view, rng) -> None:
-    for name, compute, expected in operator_checks(view, case.dense, rng, backend):
+    for name, compute, expected in operator_checks(view, case.dense, rng):
         actual = _as_dense(compute())
         expected = np.asarray(expected)
         assert actual.shape == expected.shape or actual.size == expected.size, (
