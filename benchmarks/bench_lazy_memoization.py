@@ -7,8 +7,8 @@ iterative workloads (Figures 8--10).  Three comparisons per sweep point:
 
 * ``linreg-gd``  -- eager GD performs one LMM and one transposed LMM per
   iteration; the lazy path evaluates the gradient as
-  ``crossprod(T) w - T^T Y``, so after the first iteration both data-sized
-  terms are cache hits and an iteration costs ``O(d^2)``.
+  ``crossprod(T) w - T^T Y`` and computes both data-sized terms once per
+  fit (cached on the matrix), so an iteration costs ``O(d^2)``.
 * ``kmeans``     -- the lazy path writes ``rowSums(T^2)`` and ``2 T`` inside
   the loop and lets the FactorizedCache hoist them.
 * ``logreg-gd``  -- no data-sized term is join invariant (the gradient is
@@ -16,9 +16,10 @@ iterative workloads (Figures 8--10).  Three comparisons per sweep point:
   per-iteration LMM structure is unchanged; this one bounds the overhead of
   the graph layer rather than showing a speed-up.
 
-Each lazy benchmark asserts the acceptance criterion (>= 1 cache hit per
-iteration after the first) and the module prints the hit/miss counters next
-to the runtimes.
+Each lazy benchmark asserts its cache counters (for K-Means and logistic
+regression >= 1 cache hit per iteration after the first; for linear
+regression one miss per cached invariant node and no lookups in the loop)
+and the module prints the hit/miss counters next to the runtimes.
 """
 
 import numpy as np
@@ -78,8 +79,9 @@ class TestLinregGDMemoization:
             return model
 
         model = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-        # Acceptance: crossprod(T) and T^T Y hit on every iteration but the first.
-        assert model.lazy_cache_.hits >= 2 * (ITERATIONS - 1)
+        # Acceptance: on the cold cache of a fresh matrix, crossprod(T), T^T
+        # and T^T Y are computed once each and the loop looks up nothing.
+        assert (model.lazy_cache_.hits, model.lazy_cache_.misses) == (0, 3)
         _record("linreg-gd", point, model.lazy_cache_)
 
 

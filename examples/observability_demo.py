@@ -56,7 +56,9 @@ def main(argv=None) -> int:
     print(model.plan_.explain())
     print()
 
-    # 2. Lazy fit: the join-invariant terms hit the memoization cache.
+    # 2. Lazy fit: crossprod(T) and T^T Y are evaluated once each.  A cold
+    # cache misses and stores them; they hit only if the auto fit above
+    # already ran on the lazy engine.
     LinearRegressionGD(engine="lazy", max_iter=5).fit(normalized, target)
 
     # 3. A row delta, absorbed incrementally by the lazy cache...

@@ -101,6 +101,23 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def apply_matmul(a: Any, b: Any) -> Any:
+    """``a @ b`` over two evaluated operands, exactly as a ``matmul`` node computes it."""
+    if is_matrix_like(a) and is_matrix_like(b):
+        return la_ops.matmul(a, b)
+    return a @ b
+
+
+def apply_elemwise(sym: str, a: Any, b: Any) -> Any:
+    """``a <sym> b`` over two evaluated operands, exactly as an ``elemwise`` node computes it."""
+    if is_matrix_like(a) and is_matrix_like(b):
+        # Plain x plain: densify so sparse '*' is element-wise, not matmul.
+        return _EW_UFUNCS[sym](to_dense(ensure_2d(a)), to_dense(ensure_2d(b)))
+    # At least one logical operand: its overload implements the paper's
+    # Section 3.3.7 semantics (materialize on demand).
+    return _PY_OPS[sym](a, b)
+
+
 #: Aggregation operators whose cached result the delta layer can patch.
 _AGG_KINDS = {"rowsums": "rowsums", "colsums": "colsums", "total_sum": "total_sum"}
 
@@ -170,10 +187,7 @@ def _compute(node: LazyExpr, cache: Optional[FactorizedCache],
     if op == "transpose":
         return values[0].T
     if op == "matmul":
-        a, b = values
-        if is_matrix_like(a) and is_matrix_like(b):
-            return la_ops.matmul(a, b)
-        return a @ b
+        return apply_matmul(*values)
     if op == "crossprod":
         (value,), (method,) = values, node.params
         if hasattr(value, "crossprod"):
@@ -194,14 +208,7 @@ def _compute(node: LazyExpr, cache: Optional[FactorizedCache],
         fn = _PY_OPS[sym]
         return fn(scalar, value) if reverse else fn(value, scalar)
     if op == "elemwise":
-        a, b = values
-        (sym,) = node.params
-        if is_matrix_like(a) and is_matrix_like(b):
-            # Plain x plain: densify so sparse '*' is element-wise, not matmul.
-            return _EW_UFUNCS[sym](to_dense(ensure_2d(a)), to_dense(ensure_2d(b)))
-        # At least one logical operand: its overload implements the paper's
-        # Section 3.3.7 semantics (materialize on demand).
-        return _PY_OPS[sym](a, b)
+        return apply_elemwise(node.params[0], *values)
     if op == "apply":
         return generic.elementwise(values[0], node.fn)
 

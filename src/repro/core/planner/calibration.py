@@ -274,6 +274,10 @@ def probe(repeats: int = 3) -> CalibrationProfile:
 _profile_singleton: Optional[CalibrationProfile] = None
 
 
+#: The deterministic constants, built once (profiles are immutable).
+_DEFAULT_PROFILE = CalibrationProfile.default()
+
+
 def get_profile(mode: Optional[str] = None) -> CalibrationProfile:
     """The process-wide calibration profile.
 
@@ -289,7 +293,7 @@ def get_profile(mode: Optional[str] = None) -> CalibrationProfile:
     if mode not in ("auto", "probe", "default"):
         raise ValueError(f"unknown calibration mode {mode!r}")
     if mode == "default":
-        return CalibrationProfile.default()
+        return _DEFAULT_PROFILE
     if _profile_singleton is not None and mode == "auto":
         return _profile_singleton
     path = cache_path()

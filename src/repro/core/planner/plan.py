@@ -10,6 +10,7 @@ rule would have done on the same data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.planner.calibration import CalibrationProfile
@@ -32,7 +33,7 @@ class ScoredCandidate:
     #: ML estimators feed it to NormalizedBatchIterator when the plan wins.
     batch_rows: Optional[int] = None
 
-    @property
+    @cached_property
     def label(self) -> str:
         layout = "factorized" if self.factorized else "materialized"
         shards = f" x{self.n_shards}" if self.n_shards > 1 else ""

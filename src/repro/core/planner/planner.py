@@ -36,6 +36,8 @@ is charged via :attr:`WorkloadDescriptor.lazy_gram_applies`.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,10 +57,22 @@ from repro.la.types import is_sparse
 #: result handling); only used to price the lazy engine's bookkeeping.
 _NODES_PER_OP = 3.0
 
+#: Plans memoized per operand (see :meth:`Planner.plan`); the oldest entry is
+#: evicted first once an operand holds this many.
+PLAN_MEMO_SIZE = 16
+
+#: Guards the per-operand plan memos against concurrent planners.
+_MEMO_LOCK = threading.Lock()
+
 _PLANS_TOTAL = obs.REGISTRY.counter(
     "repro_planner_plans_total",
     "Plans produced, by workload, chosen engine/backend and calibration source",
     labels=("workload", "engine", "backend", "calibration"),
+)
+_MEMO_TOTAL = obs.REGISTRY.counter(
+    "repro_planner_memo_total",
+    "Plan-memo lookups on immutable operands, by result",
+    labels=("result",),
 )
 _CANDIDATES_SCORED = obs.REGISTRY.counter(
     "repro_planner_candidates_scored_total",
@@ -189,6 +203,21 @@ def describe_data(data) -> _DataProfile:
     )
 
 
+def _copy_summary(summary: dict) -> dict:
+    """A private copy of a memoized data summary.
+
+    Its values are scalars, tuples, one dict (``fused_kernels``) and a list
+    of dicts (``chains``); the containers are copied one level deep.
+    """
+    copied = dict(summary)
+    for name, value in summary.items():
+        if isinstance(value, dict):
+            copied[name] = dict(value)
+        elif isinstance(value, list):
+            copied[name] = [dict(entry) for entry in value]
+    return copied
+
+
 class Planner:
     """Scores candidate execution plans and returns the cheapest as a :class:`Plan`.
 
@@ -255,10 +284,12 @@ class Planner:
         if memory_budget is not None and memory_budget <= 0:
             raise ValueError("memory_budget must be positive (bytes)")
         self.memory_budget = None if memory_budget is None else float(memory_budget)
-        if shard_candidates is None:
-            from repro.la.parallel import default_workers
+        from repro.la.parallel import default_workers
 
-            cores = default_workers()
+        #: Worker count the parallel speedup model prices shards against.
+        self._workers = default_workers()
+        if shard_candidates is None:
+            cores = self._workers
             shard_candidates = sorted({n for n in (2, 4, cores) if 1 < n <= cores})
         self.shard_candidates = tuple(int(n) for n in shard_candidates)
 
@@ -271,44 +302,108 @@ class Planner:
         ``n_shards`` restricts the shard axis to one explicit value (the ML
         estimators pass a user-supplied ``n_jobs`` through here, leaving the
         planner to choose only the layout and the engine).
+
+        Plans for the library's immutable operands -- normalized, M:N
+        normalized and row-partitioned matrices, or lazy views of them -- are
+        memoized on the operand under every other input of the scoring (see
+        :meth:`_memo_slot`), so repeated fits on one matrix score the
+        candidates once.  Each call still returns its own :class:`Plan`, with
+        a fresh ``outcome`` slot and a private ``data_summary``.
         """
         workload = workload or WorkloadDescriptor.generic()
         with obs.span("planner.plan", workload=workload.name):
             profile = self.calibration or get_profile()
-            data_profile = describe_data(data)
-            candidates = self._score_all(data_profile, workload, profile, n_shards)
-            summary = self._summary(data_profile)
-            chains = plan_chain_summaries(data, workload)
-            if chains:
-                summary["chains"] = chains
+            memo, key = self._memo_slot(data, profile, workload, n_shards)
+            entry = None
+            if memo is not None:
+                with _MEMO_LOCK:
+                    entry = memo.get(key)
+                if obs.enabled():
+                    _MEMO_TOTAL.labels(result="miss" if entry is None else "hit").inc()
+            if entry is None:
+                entry = self._score_operand(data, workload, profile, n_shards)
+                if memo is not None:
+                    with _MEMO_LOCK:
+                        memo[key] = entry
+                        while len(memo) > PLAN_MEMO_SIZE:
+                            memo.popitem(last=False)
+            candidates, summary, threshold_choice = entry
             plan = Plan(
-                candidates=tuple(candidates),
+                candidates=candidates,
                 workload=workload,
-                data_summary=summary,
+                data_summary=_copy_summary(summary),
                 calibration=profile,
-                threshold_rule_choice=self._threshold_choice(data_profile),
+                threshold_rule_choice=threshold_choice,
             )
             if obs.enabled():
                 self._record_plan_metrics(plan)
         return plan
 
+    def _score_operand(self, data, workload: WorkloadDescriptor,
+                       profile: CalibrationProfile, n_shards: Optional[int]) -> tuple:
+        """``(ranked candidates, data summary, threshold choice)`` for one operand."""
+        data_profile = describe_data(data)
+        candidates = self._score_all(data_profile, workload, profile, n_shards)
+        summary = self._summary(data_profile)
+        chains = plan_chain_summaries(data, workload)
+        if chains:
+            summary["chains"] = chains
+        return tuple(candidates), summary, self._threshold_choice(data_profile)
+
+    def _memo_slot(self, data, profile: CalibrationProfile,
+                   workload: WorkloadDescriptor, n_shards: Optional[int]):
+        """The operand's plan memo and this call's key, or ``(None, None)``.
+
+        Only normalized, M:N normalized and row-partitioned operands carry a
+        memo: they are immutable, and ``apply_delta`` returns a successor
+        that starts without one.  Plain ndarray and scipy operands may be
+        written in place and cannot hold attributes, so they are re-planned
+        on every call.  The key is everything besides the operand that
+        reaches the scoring: this planner's settings, the calibration profile
+        and the workload (both compared by value), the pinned shard count,
+        the kernel availability :meth:`_summary` reports and the worker count
+        the parallel speedup model reads.  Cache warmth is not in the key
+        because the cost model does not read it; a cache-aware cost model
+        must add it.
+        """
+        from repro.core.lazy.expr import LeafExpr
+        from repro.core.shard import RowPartitioned
+        from repro.la import kernels
+
+        operand = data.value if isinstance(data, LeafExpr) else data
+        if not isinstance(operand, (NormalizedMatrix, MNNormalizedMatrix, RowPartitioned)):
+            return None, None
+        key = (self.include_chunked, self.chunk_rows, self.include_fused,
+               self.charge_materialization, self.memory_budget, self.shard_candidates,
+               profile, workload, n_shards, kernels.compiled_available(),
+               kernels.best_available(), self._workers)
+        try:
+            hash(key)
+        except TypeError:  # a hand-built workload with unhashable fields
+            return None, None
+        with _MEMO_LOCK:
+            memo = getattr(operand, "_plan_memo", None)
+            if memo is None:
+                memo = OrderedDict()
+                try:
+                    operand._plan_memo = memo
+                except AttributeError:  # pragma: no cover - exotic operand types
+                    return None, None
+        return memo, key
+
     @staticmethod
     def _record_plan_metrics(plan: Plan) -> None:
         """Publish the chosen plan and its candidate scores to the registry."""
         chosen = plan.chosen
-        _PLANS_TOTAL.labels(
-            workload=plan.workload.name,
-            engine=chosen.engine,
-            backend=chosen.backend,
-            calibration=plan.calibration.source,
-        ).inc()
-        _CANDIDATES_SCORED.labels(workload=plan.workload.name).inc(
-            len(plan.candidates)
-        )
+        workload = plan.workload.name
+        # Label values go positionally (in each family's label order): this
+        # runs once per fit, memoized plans included.
+        _PLANS_TOTAL.labels(workload, chosen.engine, chosen.backend,
+                            plan.calibration.source).inc()
+        _CANDIDATES_SCORED.labels(workload).inc(len(plan.candidates))
         for candidate in plan.candidates:
-            _CANDIDATE_SECONDS.labels(
-                workload=plan.workload.name, candidate=candidate.label
-            ).set(candidate.predicted_seconds)
+            _CANDIDATE_SECONDS.labels(workload, candidate.label).set(
+                candidate.predicted_seconds)
         obs.annotate(
             chosen=chosen.label,
             predicted_seconds=chosen.predicted_seconds,
@@ -466,9 +561,7 @@ class Planner:
         speedup = 1.0
         fixed_partitioning = dp.kind in ("sharded-normalized", "sharded")
         if shards > 1 and (not fixed_partitioning or dp.parallel_partitions):
-            from repro.la.parallel import default_workers
-
-            workers = min(shards, default_workers())
+            workers = min(shards, self._workers)
             speedup = 1.0 + (workers - 1) * profile.parallel_efficiency
         # The scatter/assembly passes fan out across shards exactly like the
         # base-matrix products, so both terms share the parallel speedup.

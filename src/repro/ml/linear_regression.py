@@ -85,8 +85,10 @@ class LinearRegressionGD(IterativeEstimator):
     its normal-equation form ``crossprod(T) w - T^T Y`` (algebraically equal
     to ``T^T (T w - Y)``; this is the same one-time-LA trick the co-factor
     hybrid below uses).  Both ``crossprod(T)`` and ``T^T Y`` are join
-    invariant, so after the first iteration every pass costs two cache hits
-    plus ``O(d^2)`` regular arithmetic instead of two LA passes over the data.
+    invariant: they are evaluated once per fit (memoized in the matrix's
+    FactorizedCache, so a refit on the same matrix recomputes neither), and
+    every pass costs ``O(d^2)`` regular arithmetic instead of two LA passes
+    over the data.
     """
 
     def __init__(self, max_iter: int = 20, step_size: float = 1e-6,
@@ -178,15 +180,20 @@ class LinearRegressionGD(IterativeEstimator):
 
     def _fit_lazy(self, data, y: np.ndarray, w: np.ndarray) -> "LinearRegressionGD":
         from repro.core.lazy import constant
+        from repro.core.lazy.evaluator import apply_elemwise, apply_matmul
 
         lazy_t = self._lazy_data(data)
-        gram = lazy_t.crossprod()          # join-invariant: memoized after iter 1
-        projected = lazy_t.T @ constant(y)  # join-invariant: memoized after iter 1
+        # Both join-invariant terms are evaluated once per fit, through the
+        # matrix's FactorizedCache (a warm refit is two hits); the loop then
+        # applies the evaluator's own product and subtraction to them, so
+        # the weights equal a per-iteration (gram @ w - projected).evaluate().
+        gram = lazy_t.crossprod().evaluate()
+        projected = (lazy_t.T @ constant(y)).evaluate()
         for _ in range(self.max_iter):
             if self.track_history:
                 residual = to_dense_result((lazy_t @ w).evaluate()) - y
                 self.history_.append(float(np.sum(residual ** 2)))
-            gradient = (gram @ w - projected).evaluate()
+            gradient = apply_elemwise("-", apply_matmul(gram, w), projected)
             w = w - self.step_size * gradient
         self.coef_ = w
         return self

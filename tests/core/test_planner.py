@@ -595,6 +595,142 @@ class TestSurfaceIntegration:
         assert np.allclose(model.coef_, reference.coef_, atol=1e-8)
 
 
+@pytest.fixture
+def scorings(monkeypatch):
+    """Counts the planner's candidate scorings (plan-memo misses) per call."""
+    calls = []
+    score = Planner._score_operand
+
+    def counting(self, data, *args):
+        calls.append(data)
+        return score(self, data, *args)
+
+    monkeypatch.setattr(Planner, "_score_operand", counting)
+    return calls
+
+
+class TestPlanMemo:
+    LINREG = WorkloadDescriptor.linear_regression_gd(10)
+
+    def test_hit_returns_a_fresh_plan_with_equal_candidates(self, planner, redundant,
+                                                            scorings):
+        first = planner.plan(redundant, self.LINREG)
+        first.record_outcome(1e-3)
+        second = planner.plan(redundant, self.LINREG)
+        assert len(scorings) == 1
+        assert second is not first
+        assert second.candidates == first.candidates
+        assert second.outcome is None and first.outcome is not None
+        assert second.data_summary == first.data_summary
+        assert second.data_summary is not first.data_summary
+
+    def test_mutated_summary_does_not_leak_into_the_next_plan(self, planner, redundant):
+        first = planner.plan(redundant, self.LINREG)
+        expected = json.loads(json.dumps(first.data_summary))
+        first.data_summary["kind"] = "tampered"
+        first.data_summary["fused_kernels"]["kernel_set"] = "tampered"
+        second = planner.plan(redundant, self.LINREG)
+        assert json.loads(json.dumps(second.data_summary)) == expected
+
+    def test_apply_delta_successor_replans(self, planner, redundant, scorings):
+        from repro.core.delta import MatrixDelta
+
+        planner.plan(redundant, self.LINREG)
+        attribute = redundant.attributes[0]
+        rows = np.random.default_rng(0).standard_normal((2, attribute.shape[1]))
+        successor = redundant.apply_delta(0, MatrixDelta.upsert([0, 1], rows, attribute))
+        planner.plan(successor, self.LINREG)
+        assert len(scorings) == 2 and scorings[1] is successor
+        planner.plan(successor, self.LINREG)
+        assert len(scorings) == 2
+
+    def test_every_key_part_replans(self, redundant, scorings):
+        from dataclasses import replace
+
+        default = CalibrationProfile.default()
+        base = dict(calibration=default, shard_candidates=(2, 4))
+        variants = [
+            (Planner(**base), self.LINREG, None),
+            (Planner(**base), WorkloadDescriptor.linear_regression_gd(20), None),
+            (Planner(**base), self.LINREG, 2),
+            (Planner(**base, memory_budget=1e9), self.LINREG, None),
+            (Planner(calibration=replace(default, dense_flops=5e9),
+                     shard_candidates=(2, 4)), self.LINREG, None),
+            (Planner(**base, include_chunked=True), self.LINREG, None),
+        ]
+        for planner, workload, n_shards in variants:
+            planner.plan(redundant, workload, n_shards=n_shards)
+        assert len(scorings) == len(variants)
+        for planner, workload, n_shards in variants:  # all memoized now
+            planner.plan(redundant, workload, n_shards=n_shards)
+        assert len(scorings) == len(variants)
+
+    def test_calibration_and_workload_compare_by_value(self, redundant, scorings):
+        from dataclasses import replace
+
+        Planner(calibration=CalibrationProfile.default()).plan(
+            redundant, WorkloadDescriptor.linear_regression_gd(10))
+        Planner(calibration=replace(CalibrationProfile.default())).plan(
+            redundant, WorkloadDescriptor.linear_regression_gd(10))
+        assert len(scorings) == 1
+
+    def test_lazy_view_and_row_partitions_are_memoized(self, planner, redundant,
+                                                       scorings):
+        planner.plan(redundant, self.LINREG)
+        planner.plan(redundant.lazy(), self.LINREG)
+        assert len(scorings) == 1
+        sharded = redundant.shard(2, pool="serial")
+        planner.plan(sharded, self.LINREG)
+        planner.plan(sharded, self.LINREG)
+        assert len(scorings) == 2
+
+    def test_plain_operands_are_never_memoized(self, planner, scorings):
+        import scipy.sparse as sp
+
+        dense = np.random.default_rng(1).standard_normal((200, 6))
+        sparse = sp.random(200, 6, density=0.2, format="csr", random_state=1)
+        for operand in (dense, sparse):
+            first = planner.plan(operand, self.LINREG)
+            second = planner.plan(operand, self.LINREG)
+            assert second.candidates == first.candidates
+        assert len(scorings) == 4
+        assert not hasattr(sparse, "_plan_memo")
+
+    def test_concurrent_planners_agree(self, redundant):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def plan(_):
+            return Planner(calibration=CalibrationProfile.default()).plan(
+                redundant, self.LINREG)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                plans = list(pool.map(plan, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({p.chosen.label for p in plans}) == 1
+        assert all(p.candidates == plans[0].candidates for p in plans)
+        assert len({id(p) for p in plans}) == 8
+        assert len(redundant._plan_memo) == 1
+
+    def test_memo_is_bounded_and_evicts_the_oldest(self, planner, redundant, scorings):
+        from repro.core.planner.planner import PLAN_MEMO_SIZE
+
+        workloads = [WorkloadDescriptor.linear_regression_gd(i + 1)
+                     for i in range(PLAN_MEMO_SIZE + 3)]
+        for workload in workloads:
+            planner.plan(redundant, workload)
+            assert len(redundant._plan_memo) <= PLAN_MEMO_SIZE
+        assert len(redundant._plan_memo) == PLAN_MEMO_SIZE
+        planner.plan(redundant, workloads[-1])   # newest: still memoized
+        assert len(scorings) == len(workloads)
+        planner.plan(redundant, workloads[0])    # oldest: evicted, re-scored
+        assert len(scorings) == len(workloads) + 1
+
+
 class TestPlanEvaluation:
     def test_slowdown_and_within(self):
         ev = PlanEvaluation(parameters={}, auto_label="a", auto_seconds=0.15,

@@ -161,9 +161,14 @@ class TestLinearRegressionParallel:
         parallel = LinearRegressionGD(max_iter=6, step_size=1e-4, engine="lazy",
                                       n_jobs=2).fit(normalized, y)
         assert np.allclose(parallel.coef_, serial.coef_, atol=1e-8)
-        # crossprod(T) and T^T Y hit the cache on every iteration but the first,
-        # and each miss was computed shard-parallel.
-        assert parallel.lazy_cache_.hits >= 2 * (6 - 1)
+        # crossprod(T), T^T and T^T Y miss once each, computed shard-parallel;
+        # a refit through the memoized shard view hits crossprod(T) and T^T Y.
+        cache = parallel.lazy_cache_
+        assert (cache.hits, cache.misses) == (0, 3)
+        refit = LinearRegressionGD(max_iter=6, step_size=1e-4, engine="lazy",
+                                   n_jobs=2).fit(normalized, y)
+        assert refit.lazy_cache_ is cache
+        assert (cache.hits, cache.misses) == (2, 3)
 
 
 class TestLogisticRegressionParallel:

@@ -140,6 +140,27 @@ class TestInstrumentedEndToEnd:
         assert "measured:" in model.plan_.explain()
 
 
+def _count_spans(span, name: str) -> int:
+    return (span.name == name) + sum(_count_spans(c, name) for c in span.children)
+
+
+class TestPlanMemoCounter:
+    def test_repeated_auto_fits_plan_once_and_count_every_plan(self):
+        obs.enable()
+        normalized, rng = _star_schema(seed=6)
+        y = rng.standard_normal(normalized.shape[0])
+        for _ in range(5):
+            LinearRegressionGD(engine="auto", max_iter=3).fit(normalized, y)
+        memo = obs.REGISTRY.get("repro_planner_memo_total")
+        assert memo.labels(result="miss").value == 1
+        assert memo.labels(result="hit").value == 4
+        assert obs.REGISTRY.get("repro_planner_plans_total").value == 5
+        fits = [r for r in obs.recent_spans() if r.name == "LinearRegressionGD.fit"]
+        assert len(fits) == 5
+        assert [_count_spans(r, "planner.plan") for r in fits] == [1] * 5
+        assert 'repro_planner_memo_total{result="hit"} 4' in obs.to_prometheus()
+
+
 class TestZoneMapPatchCounter:
     def test_one_percent_delta_stream_rebuilds_once_per_hundred_widens(self):
         """Widened rows add up to the table size every 100 1% deltas, and
