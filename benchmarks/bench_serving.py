@@ -41,6 +41,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.bench.harness import SpeedupResult, compare
+from repro.core.planner.memory import matrix_nbytes
 from repro.ml import LinearRegressionGD
 from repro.serve import FactorizedScorer, ScoringService
 
@@ -109,15 +110,9 @@ def evaluate_point(tuple_ratio: float, feature_ratio: float, attribute_rows: int
         scorer.score_rows([i])
     factorized_per_request = (time.perf_counter() - start) * (num_requests / 200)
 
-    def _resident_bytes(block) -> int:
-        if block is None:
-            return 0
-        if hasattr(block, "nbytes"):  # dense
-            return int(block.nbytes)
-        return int(block.data.nbytes + block.indices.nbytes + block.indptr.nbytes)  # CSR
-
+    # Dense and CSR blocks at their buffer sizes, indicators at their codes.
     factorized_bytes = scorer.partial_bytes + sum(
-        _resident_bytes(block) for block in [normalized.entity, *normalized.indicators]
+        matrix_nbytes(block) for block in [normalized.entity, *normalized.indicators]
     )
     record = {
         "tuple_ratio": tuple_ratio,

@@ -10,23 +10,22 @@ the structure the paper relies on:
   non-zero equal to one and every column at least one, so
   ``nnz(I) == |T'|``.
 
-These invariants are exactly what the rewrite rules' correctness proofs use,
-so the constructors of the normalized-matrix classes validate them eagerly
-(validation is linear in ``nnz`` and therefore cheap relative to any LA
-operator).
+Exactly one 1 per row means an indicator *is* its vector of codes, so the
+library stores every indicator as a :class:`~repro.la.indicator.CodeIndicator`.
+The validators below are the edge where outside input (CSR, dense, or codes
+from user code) becomes one; the matrix constructors call them eagerly
+(validation is linear in the row count and therefore cheap relative to any
+LA operator).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import IndicatorError
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import CodeIndicator
 from repro.la.types import MatrixLike, to_sparse
 
 
@@ -47,160 +46,111 @@ class IndicatorStats:
         return self.nnz / self.shape[1]
 
 
-def _as_binary_csr(matrix: MatrixLike, context: str) -> sp.csr_matrix:
+def _as_code_indicator(matrix, context: str) -> CodeIndicator:
+    """*matrix* as an untransposed :class:`CodeIndicator`, checking one 1 per row."""
+    if isinstance(matrix, CodeIndicator):
+        if matrix.transposed:
+            raise IndicatorError(f"{context}: a transposed indicator is not a row indicator")
+        return matrix
     csr = to_sparse(matrix, "csr")
     if csr.nnz and not np.all(csr.data == 1.0):
         raise IndicatorError(f"{context}: all stored entries must equal 1")
-    return csr
-
-
-def validate_pk_fk_indicator(matrix: MatrixLike, require_full_columns: bool = True):
-    """Validate a PK-FK indicator matrix ``K`` and return it as CSR.
-
-    Checks that every row has exactly one entry equal to one, and (optionally)
-    that every column is referenced at least once, which the paper assumes
-    after dropping unreferenced attribute tuples.
-
-    A multi-hop :class:`~repro.la.chain.ChainedIndicator` is validated hop by
-    hop -- each hop must itself be a valid PK-FK indicator, which makes the
-    product one too -- plus the column-coverage check on the (virtual)
-    product, and is returned unchanged (still factorized).
-    """
-    if isinstance(matrix, ChainedIndicator):
-        if matrix.transposed:
-            raise IndicatorError(
-                "PK-FK indicator: a transposed chain is not a row indicator"
-            )
-        for i, hop in enumerate(matrix.hops):
-            try:
-                validate_pk_fk_indicator(hop, require_full_columns=False)
-            except IndicatorError as exc:
-                raise IndicatorError(f"chain hop {i}: {exc}") from None
-        if require_full_columns and matrix.shape[1]:
-            # Column coverage of the product via composed codes -- O(rows),
-            # no need to materialize the collapsed chain.
-            col_counts = np.bincount(indicator_codes(matrix),
-                                     minlength=matrix.shape[1])
-            if np.any(col_counts == 0):
-                bad = int(np.argmax(col_counts == 0))
-                raise IndicatorError(
-                    f"PK-FK indicator chain: column {bad} is never reached through "
-                    "the hops; drop unreferenced attribute rows before building "
-                    "the normalized matrix"
-                )
-        return matrix
-    csr = _as_binary_csr(matrix, "PK-FK indicator")
     row_counts = np.diff(csr.indptr)
     if csr.shape[0] and not np.all(row_counts == 1):
         bad = int(np.argmax(row_counts != 1))
         raise IndicatorError(
-            f"PK-FK indicator: row {bad} has {int(row_counts[bad])} non-zeros, expected exactly 1"
+            f"{context}: row {bad} has {int(row_counts[bad])} non-zeros, expected exactly 1"
         )
-    if require_full_columns and csr.shape[1]:
-        col_counts = np.asarray(csr.sum(axis=0)).ravel()
+    return CodeIndicator.trusted(csr.indices.astype(np.int64), csr.shape[1])
+
+
+def _check_full_columns(indicator: CodeIndicator, message: str) -> None:
+    if indicator.n_cols:
+        col_counts = np.bincount(indicator.codes, minlength=indicator.n_cols)
         if np.any(col_counts == 0):
-            bad = int(np.argmax(col_counts == 0))
-            raise IndicatorError(
-                f"PK-FK indicator: column {bad} is never referenced; "
-                "drop unreferenced attribute rows before building the normalized matrix"
-            )
-    return csr
+            raise IndicatorError(message.format(int(np.argmax(col_counts == 0))))
 
 
-def validate_mn_indicator(matrix: MatrixLike, require_full_columns: bool = True) -> sp.csr_matrix:
-    """Validate an M:N indicator matrix (``I_S`` or ``I_R``) and return it as CSR.
+def validate_pk_fk_indicator(matrix, require_full_columns: bool = True) -> CodeIndicator:
+    """Validate a PK-FK indicator matrix ``K`` and return it as a :class:`CodeIndicator`.
+
+    Checks that every row has exactly one entry equal to one, and (optionally)
+    that every column is referenced at least once, which the paper assumes
+    after dropping unreferenced attribute tuples.  A :class:`CodeIndicator`
+    already holds one 1 per row, so only the column check applies to it.
+    """
+    indicator = _as_code_indicator(matrix, "PK-FK indicator")
+    if require_full_columns:
+        _check_full_columns(
+            indicator,
+            "PK-FK indicator: column {} is never referenced; "
+            "drop unreferenced attribute rows before building the normalized matrix",
+        )
+    return indicator
+
+
+def validate_mn_indicator(matrix, require_full_columns: bool = True) -> CodeIndicator:
+    """Validate an M:N indicator matrix (``I_S`` or ``I_R``) and return it as a
+    :class:`CodeIndicator`.
 
     Structurally the per-row requirement is the same as for PK-FK indicators
     (each output row of the join comes from exactly one source row); the
     difference is semantic -- the number of rows equals the join output size
     rather than the entity-table size.
     """
-    csr = _as_binary_csr(matrix, "M:N indicator")
-    row_counts = np.diff(csr.indptr)
-    if csr.shape[0] and not np.all(row_counts == 1):
-        bad = int(np.argmax(row_counts != 1))
-        raise IndicatorError(
-            f"M:N indicator: row {bad} has {int(row_counts[bad])} non-zeros, expected exactly 1"
+    indicator = _as_code_indicator(matrix, "M:N indicator")
+    if require_full_columns:
+        _check_full_columns(
+            indicator,
+            "M:N indicator: column {} contributes no join output rows; "
+            "drop non-contributing base rows before building the normalized matrix",
         )
-    if require_full_columns and csr.shape[1]:
-        col_counts = np.asarray(csr.sum(axis=0)).ravel()
-        if np.any(col_counts == 0):
-            bad = int(np.argmax(col_counts == 0))
-            raise IndicatorError(
-                f"M:N indicator: column {bad} contributes no join output rows; "
-                "drop non-contributing base rows before building the normalized matrix"
-            )
-    return csr
+    return indicator
 
 
-# Memoized codes per indicator object: the scorer, the zone-map index and the
-# fused kernels all work in code space, so each indicator's codes are computed
-# once and shared.  Keyed by id() with a weakref liveness check (id reuse after
-# garbage collection must not serve stale codes); entries evict themselves when
-# the indicator dies.  Cached arrays are read-only so sharing is safe.
-_CODES_CACHE: Dict[int, Tuple[weakref.ref, np.ndarray]] = {}
+def as_indicator(matrix):
+    """The ``validate=False`` edge of the matrix constructors.
+
+    A :class:`CodeIndicator` passes through unchecked (internal derivations
+    never re-validate).  Other input is converted when it has one 1 per row
+    and kept as given otherwise: the caller opted out of validation, so a
+    malformed operand fails when an operator first uses it.
+    """
+    if isinstance(matrix, CodeIndicator):
+        return matrix
+    try:
+        return _as_code_indicator(matrix, "indicator")
+    except IndicatorError:
+        return matrix
 
 
-def reset_codes_cache() -> None:
-    """Drop all memoized indicator codes (test isolation hook)."""
-    _CODES_CACHE.clear()
-
-
-def _compute_codes(matrix: MatrixLike) -> np.ndarray:
-    if isinstance(matrix, ChainedIndicator) and not matrix.transposed:
-        codes = indicator_codes(matrix.hops[0])
-        for hop in matrix.hops[1:]:
-            codes = indicator_codes(hop)[codes]
-        return codes
-    csr = to_sparse(matrix, "csr")
-    row_counts = np.diff(csr.indptr)
-    if csr.shape[0] and not np.all(row_counts == 1):
-        bad = int(np.argmax(row_counts != 1))
-        raise IndicatorError(
-            f"indicator: row {bad} has {int(row_counts[bad])} non-zeros, expected exactly 1"
-        )
-    return csr.indices.astype(np.int64)
-
-
-def indicator_codes(matrix: MatrixLike) -> np.ndarray:
-    """Recover the per-row key codes of an indicator matrix.
+def indicator_codes(matrix) -> np.ndarray:
+    """The per-row key codes of an indicator matrix (read-only ``int64``).
 
     For a valid PK-FK or M:N indicator (exactly one non-zero per row) the
     code of row ``i`` is the column holding that non-zero -- i.e. the
     attribute-table row the join routes row ``i`` to.  This is the inverse of
     :func:`repro.la.ops.indicator_from_labels` and what the serving subsystem
-    and the fused kernel layer gather with.  Chained indicators compose hop
-    codes (``c = c2[c1]``) without materializing the product.
-
-    Results are memoized per indicator object and returned read-only; copy
-    before mutating.
+    gathers with.  A :class:`CodeIndicator` returns its stored codes; other
+    input is validated and converted first.
     """
-    key = id(matrix)
-    entry = _CODES_CACHE.get(key)
-    if entry is not None:
-        ref, codes = entry
-        if ref() is matrix:
-            return codes
-        del _CODES_CACHE[key]
-    codes = np.ascontiguousarray(_compute_codes(matrix), dtype=np.int64)
-    codes.setflags(write=False)
-    try:
-        ref = weakref.ref(matrix, lambda _r, _key=key: _CODES_CACHE.pop(_key, None))
-    except TypeError:
-        return codes
-    _CODES_CACHE[key] = (ref, codes)
-    return codes
+    return _as_code_indicator(matrix, "indicator").codes
 
 
 def indicator_stats(matrix: MatrixLike) -> IndicatorStats:
     """Compute summary statistics (shape, nnz, per-column fan-out range)."""
-    csr = to_sparse(matrix, "csr")
-    if csr.shape[1] == 0:
-        return IndicatorStats(csr.shape, int(csr.nnz), 0, 0)
-    col_counts = np.asarray(csr.sum(axis=0)).ravel()
+    if isinstance(matrix, CodeIndicator):
+        col_counts = np.bincount(matrix.codes, minlength=matrix.n_cols)
+        shape, nnz = matrix.shape, matrix.nnz
+    else:
+        csr = to_sparse(matrix, "csr")
+        col_counts = np.asarray(csr.sum(axis=0)).ravel()
+        shape, nnz = csr.shape, int(csr.nnz)
+    if shape[1] == 0:
+        return IndicatorStats(shape, nnz, 0, 0)
     return IndicatorStats(
-        shape=csr.shape,
-        nnz=int(csr.nnz),
+        shape=shape,
+        nnz=nnz,
         min_rows_per_column=int(col_counts.min()),
         max_rows_per_column=int(col_counts.max()),
     )

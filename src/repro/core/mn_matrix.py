@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import NotSupportedError, ShapeError
-from repro.la import kernels
 from repro.la.types import (
     MatrixLike,
     ensure_2d,
@@ -28,7 +27,7 @@ from repro.la.types import (
     normalize_row_indices,
     to_dense,
 )
-from repro.core.indicator import validate_mn_indicator
+from repro.core.indicator import as_indicator, validate_mn_indicator
 from repro.core.materialize import materialize_mn
 from repro.core.rewrite import aggregation, crossprod as crossprod_rules
 from repro.core.rewrite import inversion, multiplication, scalar_ops
@@ -46,8 +45,8 @@ class MNNormalizedMatrix:
     Parameters
     ----------
     indicators:
-        Sparse indicator matrices ``I_i`` of shape ``(|T'|, n_Ri)``, one per
-        component table, all with the same number of rows (the join output
+        Indicator matrices ``I_i`` of shape ``(|T'|, n_Ri)`` (code vectors, or
+        sparse/dense 0/1 matrices converted to them), one per component table, all with the same number of rows (the join output
         size).
     attributes:
         Component feature matrices ``R_i`` of shape ``(n_Ri, d_Ri)``.
@@ -71,7 +70,8 @@ class MNNormalizedMatrix:
             )
         if crossprod_method not in ("efficient", "naive"):
             raise ValueError("crossprod_method must be 'efficient' or 'naive'")
-        self.indicators = [validate_mn_indicator(i) if validate else i for i in indicators]
+        self.indicators = [validate_mn_indicator(i) if validate else as_indicator(i)
+                           for i in indicators]
         self.attributes = [ensure_2d(r) for r in attributes]
         self.transposed = bool(transposed)
         self.crossprod_method = crossprod_method
@@ -214,8 +214,7 @@ class MNNormalizedMatrix:
         if self.transposed:
             raise NotSupportedError("take_rows is only defined for untransposed matrices")
         indices = normalize_row_indices(row_indices, self.logical_rows)
-        new_indicators = [kernels.take_indicator_rows(i, indices)
-                          for i in self.indicators]
+        new_indicators = [i[indices] for i in self.indicators]
         return MNNormalizedMatrix(
             new_indicators, self.attributes, transposed=False,
             validate=False, crossprod_method=self.crossprod_method,

@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import NotSupportedError, RewriteError, ShapeError
-from repro.la import kernels
 from repro.la.types import (
     MatrixLike,
     ensure_2d,
@@ -29,7 +28,7 @@ from repro.la.types import (
     normalize_row_indices,
     to_dense,
 )
-from repro.core.indicator import validate_pk_fk_indicator
+from repro.core.indicator import as_indicator, validate_pk_fk_indicator
 from repro.core.materialize import materialize_star
 from repro.core.rewrite import aggregation, crossprod as crossprod_rules
 from repro.core.rewrite import inversion, multiplication, scalar_ops
@@ -51,8 +50,9 @@ class NormalizedMatrix:
         ``None`` when the entity table contributes no features (``d_S = 0``),
         as in several of the paper's real datasets.
     indicators:
-        Sparse PK-FK indicator matrices ``K_i`` of shape ``(n_S, n_Ri)``; one
-        per attribute table.
+        PK-FK indicator matrices ``K_i`` of shape ``(n_S, n_Ri)``, one per
+        attribute table: :class:`~repro.la.indicator.CodeIndicator` code
+        vectors, or sparse/dense 0/1 matrices converted to them.
     attributes:
         Attribute-table feature matrices ``R_i`` of shape ``(n_Ri, d_Ri)``.
     transposed:
@@ -85,7 +85,8 @@ class NormalizedMatrix:
             raise ValueError("crossprod_method must be 'efficient' or 'naive'")
 
         self.entity = ensure_2d(entity) if entity is not None else None
-        self.indicators = [validate_pk_fk_indicator(k) if validate else k for k in indicators]
+        self.indicators = [validate_pk_fk_indicator(k) if validate else as_indicator(k)
+                           for k in indicators]
         self.attributes = [ensure_2d(r) for r in attributes]
         self.transposed = bool(transposed)
         self.crossprod_method = crossprod_method
@@ -249,8 +250,7 @@ class NormalizedMatrix:
             raise NotSupportedError("take_rows is only defined for untransposed matrices")
         indices = normalize_row_indices(row_indices, self.logical_rows)
         new_entity = self.entity[indices, :] if self.entity is not None else None
-        new_indicators = [kernels.take_indicator_rows(k, indices)
-                          for k in self.indicators]
+        new_indicators = [k[indices] for k in self.indicators]
         return NormalizedMatrix(
             new_entity, new_indicators, self.attributes, transposed=False,
             validate=False, crossprod_method=self.crossprod_method,

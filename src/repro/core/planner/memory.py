@@ -6,8 +6,8 @@ deciding whether an operand can be executed in memory at all:
 
 * the **materialized** footprint -- the dense join output ``n_S x d`` a
   materialized plan would have to hold, and
-* the **factorized** footprint -- the base matrices plus the sparse
-  indicators a factorized plan keeps resident (usually far smaller, which is
+* the **factorized** footprint -- the base matrices plus the indicator
+  code vectors a factorized plan keeps resident (usually far smaller, which is
   the paper's redundancy argument in byte form).
 
 When a :class:`~repro.core.planner.planner.Planner` is given a
@@ -26,6 +26,8 @@ from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.la.types import is_indicator
 
 #: Bytes per dense float64 element.
 DENSE_ELEMENT_BYTES = 8
@@ -50,10 +52,8 @@ def matrix_nbytes(matrix) -> int:
         return total
     if isinstance(matrix, np.ndarray):
         return int(matrix.nbytes)
-    hops = getattr(matrix, "hops", None)
-    if hops is not None:
-        # A ChainedIndicator keeps its hop matrices resident, not the product.
-        return sum(matrix_nbytes(h) for h in hops)
+    if is_indicator(matrix):
+        return int(matrix.codes.nbytes)
     shape = getattr(matrix, "shape", None)
     if shape is None:
         return 0

@@ -131,18 +131,6 @@ class Plan:
             )
         if len(self.candidates) > top:
             lines.append(f"... {len(self.candidates) - top} more candidates scored")
-        chains = self.data_summary.get("chains")
-        if chains:
-            lines.append("multi-hop indicator chains:")
-            for entry in chains:
-                verdict = ("collapsed" if entry.get("collapse")
-                           else "kept factorized")
-                lines.append(
-                    f"  chain[{entry.get('table_index')}] "
-                    f"({entry.get('num_hops')} hops, head nnz "
-                    f"{entry.get('head_nnz')}, tail nnz {entry.get('tail_nnz')}): "
-                    f"{verdict} -- {entry.get('reason')}"
-                )
         fused = self.data_summary.get("fused_kernels")
         if fused is not None:
             kernel_set = fused.get("kernel_set")

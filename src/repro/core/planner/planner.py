@@ -48,7 +48,6 @@ from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import memory as memory_model
 from repro.core.planner.calibration import CalibrationProfile, get_profile
-from repro.core.planner.chains import plan_chain_summaries
 from repro.core.planner.plan import Plan, ScoredCandidate
 from repro.core.planner.workload import WorkloadDescriptor
 from repro.la.types import is_sparse
@@ -206,15 +205,13 @@ def describe_data(data) -> _DataProfile:
 def _copy_summary(summary: dict) -> dict:
     """A private copy of a memoized data summary.
 
-    Its values are scalars, tuples, one dict (``fused_kernels``) and a list
-    of dicts (``chains``); the containers are copied one level deep.
+    Its values are scalars, tuples and one dict (``fused_kernels``), which is
+    copied too.
     """
     copied = dict(summary)
     for name, value in summary.items():
         if isinstance(value, dict):
             copied[name] = dict(value)
-        elif isinstance(value, list):
-            copied[name] = [dict(entry) for entry in value]
     return copied
 
 
@@ -345,9 +342,6 @@ class Planner:
         data_profile = describe_data(data)
         candidates = self._score_all(data_profile, workload, profile, n_shards)
         summary = self._summary(data_profile)
-        chains = plan_chain_summaries(data, workload)
-        if chains:
-            summary["chains"] = chains
         return tuple(candidates), summary, self._threshold_choice(data_profile)
 
     def _memo_slot(self, data, profile: CalibrationProfile,
@@ -578,7 +572,7 @@ class Planner:
         # A factorized operator issues ~2 dense calls plus, per join, two
         # small base-matrix calls and one sparse indicator scatter.  The
         # fused backend collapses each join's primitive chain into a single
-        # kernel dispatch over memoized indicator codes, so it pays one call
+        # kernel dispatch over the indicator codes, so it pays one call
         # per join (plus the entity term) and no sparse scatter calls.
         if backend == "fused":
             calls_per_op = 1.0 + float(dp.num_joins)

@@ -6,10 +6,10 @@ functions over the base-table matrices, in two flavours:
 * ``*_star`` functions operate on a star-schema PK-FK normalized matrix given
   as ``(S, Ks, Rs)`` where ``S`` is the entity-table feature matrix (possibly
   ``None`` when the entity table contributes no features), ``Ks`` is the list
-  of sparse indicator matrices and ``Rs`` the list of attribute-table feature
+  of indicator matrices and ``Rs`` the list of attribute-table feature
   matrices (Sections 3.3 and 3.5 of the paper).
 * ``*_mn`` functions operate on a (multi-table) M:N normalized matrix given as
-  ``(indicators, Rs)`` -- one sparse indicator per component, including the
+  ``(indicators, Rs)`` -- one indicator per component, including the
   entity table, so that ``T = [I1 R1, ..., Iq Rq]`` (Section 3.6 and
   Appendices D/E).
 

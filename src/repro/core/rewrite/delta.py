@@ -79,7 +79,8 @@ def select_columns(indicator: MatrixLike, rows: np.ndarray) -> MatrixLike:
 
     Column selection is not a Table-1 primitive (it is plain indexing, the
     same way the LMM rewrite slices ``X`` row-wise), so the slice appears as
-    an anonymous operand in the golden traces.
+    an anonymous operand in the golden traces.  A column slice can leave rows
+    without a 1, so it is a sparse matrix rather than a code vector.
     """
     rows = np.asarray(rows, dtype=np.int64)
     return indicator[:, rows]

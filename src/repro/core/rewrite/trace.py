@@ -139,7 +139,8 @@ def canonical_star_schema():
     Returns ``(normalized, named_operands)``: an 8x7 logical matrix with
     ``S`` 8x2, ``(K1, R1)`` joining 4 attribute rows of width 3 and
     ``(K2, R2)`` joining 2 attribute rows of width 2.  Values are seeded but
-    the traces depend only on the structure.
+    the traces depend only on the structure.  The names are bound to the
+    indicator objects the matrix stores.
     """
     from repro.core.normalized_matrix import NormalizedMatrix
     from repro.la.ops import indicator_from_labels
@@ -151,6 +152,7 @@ def canonical_star_schema():
     k1 = indicator_from_labels(np.array([0, 1, 2, 3, 0, 1, 2, 3]), num_columns=4)
     k2 = indicator_from_labels(np.array([0, 1, 0, 1, 0, 1, 0, 1]), num_columns=2)
     normalized = NormalizedMatrix(entity, [k1, k2], [r1, r2])
+    k1, k2 = normalized.indicators
     named = {"S": entity, "K1": k1, "K2": k2, "R1": r1, "R2": r2}
     return normalized, named
 
@@ -159,15 +161,13 @@ def canonical_snowflake_schema():
     """A deterministic two-hop snowflake schema (8 entity rows).
 
     Returns ``(normalized, named_operands)``: ``S`` 8x2; a single-hop join
-    ``(K1, R1)`` with 4 attribute rows of width 3; and a two-hop chain
-    ``C1 = H1 H2`` (8 -> 4 -> 2) kept factorized, routing to ``R2`` (2 rows,
-    width 2).  The chain itself is registered as ``C1`` so the goldens pin
-    exactly where the rewrites touch the chain as one indicator -- the
-    per-hop folds live inside :class:`~repro.la.chain.ChainedIndicator`,
-    below the rewrite algebra.
+    ``(K1, R1)`` with 4 attribute rows of width 3; and a two-hop path
+    8 -> 4 -> 2 routing to ``R2`` (2 rows, width 2), composed once into the
+    code vector ``C1`` of the hop product.  The rewrites touch ``C1`` exactly
+    like any single-hop indicator, which is what the goldens pin.
     """
     from repro.core.normalized_matrix import NormalizedMatrix
-    from repro.la.chain import ChainedIndicator
+    from repro.la.indicator import compose
     from repro.la.ops import indicator_from_labels
 
     rng = np.random.default_rng(42)
@@ -177,10 +177,9 @@ def canonical_snowflake_schema():
     k1 = indicator_from_labels(np.array([0, 1, 2, 3, 0, 1, 2, 3]), num_columns=4)
     h1 = indicator_from_labels(np.array([0, 1, 2, 3, 3, 2, 1, 0]), num_columns=4)
     h2 = indicator_from_labels(np.array([0, 1, 0, 1]), num_columns=2)
-    chain = ChainedIndicator([h1, h2])
-    normalized = NormalizedMatrix(entity, [k1, chain], [r1, r2])
-    named = {"S": entity, "K1": k1, "H1": h1, "H2": h2, "C1": chain,
-             "R1": r1, "R2": r2}
+    normalized = NormalizedMatrix(entity, [k1, compose([h1, h2])], [r1, r2])
+    k1, c1 = normalized.indicators
+    named = {"S": entity, "K1": k1, "C1": c1, "R1": r1, "R2": r2}
     return normalized, named
 
 
@@ -195,6 +194,7 @@ def canonical_mn_schema():
     i1 = indicator_from_labels(np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1]), num_columns=4)
     i2 = indicator_from_labels(np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0]), num_columns=3)
     normalized = MNNormalizedMatrix([i1, i2], [r1, r2])
+    i1, i2 = normalized.indicators
     named = {"I1": i1, "I2": i2, "R1": r1, "R2": r2}
     return normalized, named
 

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import DataGenerationError
+from repro.la.indicator import CodeIndicator
 from repro.la.ops import indicator_from_labels
 from repro.core.normalized_matrix import NormalizedMatrix
 
@@ -84,7 +85,7 @@ class RealWorldDataset:
 
     spec: RealWorldSpec
     entity: Optional[sp.csr_matrix]
-    indicators: List[sp.csr_matrix]
+    indicators: List[CodeIndicator]
     attributes: List[sp.csr_matrix]
     target: np.ndarray = field(repr=False)
 
@@ -136,7 +137,7 @@ def generate_real_dataset(spec: RealWorldSpec, scale: float = 1.0,
     if scaled.num_entity_features > 0:
         entity = _sparse_features(rng, n_s, scaled.num_entity_features, scaled.entity_nnz)
 
-    indicators: List[sp.csr_matrix] = []
+    indicators: List[CodeIndicator] = []
     attributes: List[sp.csr_matrix] = []
     for table in scaled.attribute_tables:
         attributes.append(_sparse_features(rng, table.num_rows, table.num_features, table.nnz))

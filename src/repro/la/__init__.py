@@ -4,6 +4,8 @@ This subpackage is the substrate every other part of the library builds on.
 It provides:
 
 * :mod:`repro.la.types` -- shared type aliases and dense/sparse predicates.
+* :mod:`repro.la.indicator` -- :class:`CodeIndicator`, the one indicator
+  representation: a one-1-per-row 0/1 matrix stored as its code vector.
 * :mod:`repro.la.ops` -- a uniform set of LA primitives (``rowsums``,
   ``colsums``, ``crossprod``, ``ginv`` ...) that behave identically for dense
   NumPy arrays and SciPy sparse matrices.  The Morpheus rewrite rules are
@@ -29,6 +31,7 @@ from repro.la.types import (
     to_dense,
     to_sparse,
 )
+from repro.la.indicator import CodeIndicator
 from repro.la.ops import (
     rowsums,
     colsums,
@@ -74,6 +77,7 @@ __all__ = [
     "ensure_2d",
     "to_dense",
     "to_sparse",
+    "CodeIndicator",
     "rowsums",
     "colsums",
     "total_sum",

@@ -4,7 +4,7 @@ Import-guarded: :mod:`repro.la.kernels` only activates the ``"numba"`` set
 when ``AVAILABLE`` is true, so this module must import cleanly without Numba
 installed (the optional ``[kernels]`` extra).  Every function here takes
 contiguous float64/int64 arrays -- the wrappers in ``kernels.py`` own the
-layout coercion and all sparse/chain fallbacks -- and fuses one
+layout coercion and all sparse fallbacks -- and fuses one
 gather-multiply-reduce shape into a single compiled pass, which is where the
 chains of NumPy temporaries lose: each temporary is an extra full-size
 allocation plus an extra memory walk.

@@ -1,13 +1,13 @@
 """Named fused gather-multiply-reduce kernels behind one registry.
 
 The Table-1 rewrites win by pushing work into small per-table products, but
-executing them as chains of generic primitives re-walks the indicator CSR
-structure on every call: ``K @ (R @ X)`` is a sparse matmul whose only job is
-to *gather* rows of the small product, ``colSums(K)`` is a sparse reduction
-whose only job is to *count* codes, and so on.  Every one of those inner loops
-is really one of a handful of fused shapes over the indicator **codes**
-(:func:`repro.core.indicator.indicator_codes` -- the per-row attribute-table
-row index that the CSR structure encodes):
+executing them as chains of generic primitives pays one generic product per
+step: ``K @ (R @ X)`` is a product whose only job is to *gather* rows of the
+small product, ``colSums(K)`` is a reduction whose only job is to *count*
+codes, and so on.  Every one of those inner loops is really one of a handful
+of fused shapes over the indicator **codes**
+(:attr:`repro.la.indicator.CodeIndicator.codes` -- the per-row attribute-table
+row index an indicator is stored as):
 
 ======================  =====================================================
 kernel                  fused shape
@@ -25,7 +25,6 @@ kernel                  fused shape
 ``partial_scores``      ``R_k @ W_k`` partial-score block     (serving)
 ``sgd_step``            fused residual/gradient/update        (streaming)
 ``logistic_sgd_step``   fused score/clip/sigmoid-step         (streaming)
-``take_indicator_rows`` CSR row take rebuilt straight from codes
 ======================  =====================================================
 
 Three implementation sets live behind the registry:
@@ -38,6 +37,8 @@ Three implementation sets live behind the registry:
 * ``"numpy"`` -- fused pure-NumPy passes over indicator codes (gathers are
   fancy indexing, scatters are ``bincount``); always available, never slower
   than the reference chains, and the automatic fallback when Numba is absent.
+  ``partial_scores``, ``sgd_step`` and ``logistic_sgd_step`` are plain NumPy
+  already, so this set registers their reference bodies unchanged.
 * ``"numba"`` -- JIT-compiled single-pass loops from
   :mod:`repro.la._numba_kernels`; only offered when the optional ``[kernels]``
   extra (Numba) is installed.  Kernels without a compiled variant fall back to
@@ -60,10 +61,9 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import scatter_columns
 from repro.la.ops import (
     colsums,
     crossprod,
@@ -96,7 +96,6 @@ __all__ = [
     "scatter_total",
     "set_active",
     "sgd_step",
-    "take_indicator_rows",
     "using",
 ]
 
@@ -104,7 +103,7 @@ KERNEL_NAMES = (
     "gather_add", "scatter_right", "scatter_crossprod", "cross_block",
     "entity_cross_block", "gather_gram", "gather_rows", "scatter_colsums",
     "scatter_total", "gather_dot", "partial_scores", "sgd_step",
-    "logistic_sgd_step", "take_indicator_rows",
+    "logistic_sgd_step",
 )
 
 #: When a fused cross_block would materialize a code-pair count matrix this
@@ -113,20 +112,11 @@ _CROSSING_DENSITY_LIMIT = 16
 
 
 # ---------------------------------------------------------------------------
-# Lazy late-bound helpers (repro.core / repro.ml import repro.la, not vice
-# versa at module load -- resolving these inside the call breaks the cycle).
+# Lazy late-bound helper (repro.ml imports repro.la, not vice versa at module
+# load -- resolving it inside the call breaks the cycle).
 # ---------------------------------------------------------------------------
 
-_indicator_codes: Optional[Callable] = None
 _clip_scores: Optional[Callable] = None
-
-
-def _codes(indicator: MatrixLike) -> np.ndarray:
-    global _indicator_codes
-    if _indicator_codes is None:
-        from repro.core.indicator import indicator_codes
-        _indicator_codes = indicator_codes
-    return _indicator_codes(indicator)
 
 
 def _clip(scores: np.ndarray) -> np.ndarray:
@@ -269,10 +259,6 @@ def _ref_logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
     return w, scores
 
 
-def _ref_take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
-    return indicator[indices, :]
-
-
 # ---------------------------------------------------------------------------
 # Fused NumPy implementations: single passes over indicator codes
 # ---------------------------------------------------------------------------
@@ -282,15 +268,7 @@ def _np_gather_add(out: np.ndarray, indicator: MatrixLike,
     small = np.ascontiguousarray(to_dense(matmul(attribute, block)))
     # ndarray.take on a contiguous array is the fast gather path -- it beats
     # both generic fancy indexing and the one-nnz-per-row CSR matmul.
-    out += small.take(_codes(indicator), axis=0)
-    return out
-
-
-def _scatter_columns(x: np.ndarray, codes: np.ndarray, n_cols: int) -> np.ndarray:
-    """``X @ K`` without the CSR product: bin columns of ``x`` by code."""
-    out = np.empty((x.shape[0], n_cols))
-    for r in range(x.shape[0]):
-        out[r] = np.bincount(codes, weights=x[r], minlength=n_cols)
+    out += small.take(indicator.codes, axis=0)
     return out
 
 
@@ -298,14 +276,14 @@ def _np_scatter_right(x: MatrixLike, indicator: MatrixLike,
                       attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
     if not isinstance(x, np.ndarray):
         return _ref_scatter_right(x, indicator, attribute, dtype)
-    xk = _scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
-                          _codes(indicator), indicator.shape[1])
+    xk = scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
+                         indicator.codes, indicator.shape[1])
     return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
 
 
 def _np_scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
                           dtype: np.dtype) -> np.ndarray:
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
+    counts = np.bincount(indicator.codes, minlength=indicator.shape[1])
     if isinstance(attribute, np.ndarray):
         weights = counts.astype(dtype)
         return np.asarray((attribute * weights[:, None]).T @ attribute, dtype=dtype)
@@ -316,7 +294,7 @@ def _np_scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
 def _np_cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
                     attribute_i: MatrixLike, attribute_j: MatrixLike,
                     dtype: np.dtype) -> np.ndarray:
-    ci, cj = _codes(indicator_i), _codes(indicator_j)
+    ci, cj = indicator_i.codes, indicator_j.codes
     ni, nj = indicator_i.shape[1], indicator_j.shape[1]
     if ni * nj > _CROSSING_DENSITY_LIMIT * max(ci.size, 1):
         # The dense code-pair histogram would dwarf the data; let the sparse
@@ -334,32 +312,32 @@ def _np_entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
                            attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
     if not isinstance(entity, np.ndarray):
         return _ref_entity_cross_block(entity, indicator, attribute, dtype)
-    sk = _scatter_columns(np.ascontiguousarray(entity.T, dtype=np.float64),
-                          _codes(indicator), indicator.shape[1])
+    sk = scatter_columns(np.ascontiguousarray(entity.T, dtype=np.float64),
+                         indicator.codes, indicator.shape[1])
     return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
 
 
 def _np_gather_gram(out: np.ndarray, indicator: MatrixLike,
                     attribute: MatrixLike) -> np.ndarray:
     inner = np.ascontiguousarray(to_dense(matmul(attribute, transpose(attribute))))
-    codes = _codes(indicator)
+    codes = indicator.codes
     out += inner.take(codes, axis=0).take(codes, axis=1)
     return out
 
 
 def _np_gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
     rs = np.ascontiguousarray(rowsums(attribute), dtype=np.float64)
-    return rs.take(_codes(indicator), axis=0)
+    return rs.take(indicator.codes, axis=0)
 
 
 def _np_scatter_colsums(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
+    counts = np.bincount(indicator.codes, minlength=indicator.shape[1])
     counts = counts.astype(np.float64).reshape(1, -1)
     return np.asarray(to_dense(matmul(counts, attribute)), dtype=np.float64)
 
 
 def _np_scatter_total(indicator: MatrixLike, attribute: MatrixLike) -> float:
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
+    counts = np.bincount(indicator.codes, minlength=indicator.shape[1])
     rs = np.asarray(rowsums(attribute), dtype=np.float64).ravel()
     return float(counts.astype(np.float64) @ rs)
 
@@ -370,19 +348,6 @@ def _np_gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
     for partial, rows in zip(partials, code_rows):
         out += partial.take(np.asarray(rows, dtype=np.intp), axis=0)
     return out
-
-
-def _np_take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
-    if isinstance(indicator, ChainedIndicator) or not sp.issparse(indicator):
-        return _ref_take_indicator_rows(indicator, indices)
-    # One non-zero per row: the sliced CSR is fully determined by the gathered
-    # codes, so build it directly instead of running generic fancy indexing.
-    taken = np.ascontiguousarray(_codes(indicator)[indices], dtype=np.int64)
-    n = taken.shape[0]
-    return sp.csr_matrix(
-        (np.ones(n, dtype=indicator.dtype), taken, np.arange(n + 1, dtype=np.int64)),
-        shape=(n, indicator.shape[1]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +381,9 @@ def _nb_gather_add(out: np.ndarray, indicator: MatrixLike,
                    attribute: MatrixLike, block: np.ndarray) -> np.ndarray:
     small = to_dense(matmul(attribute, block))
     if out.dtype != np.float64 or not out.flags.c_contiguous:
-        out += small[_codes(indicator), :]
+        out += small[indicator.codes, :]
         return out
-    _numba().gather_add_rows(out, _f64(small), _codes(indicator))
+    _numba().gather_add_rows(out, _f64(small), indicator.codes)
     return out
 
 
@@ -426,7 +391,7 @@ def _nb_scatter_right(x: MatrixLike, indicator: MatrixLike,
                       attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
     if not isinstance(x, np.ndarray):
         return _ref_scatter_right(x, indicator, attribute, dtype)
-    xk = _numba().scatter_columns(_f64(x), _codes(indicator), indicator.shape[1])
+    xk = _numba().scatter_columns(_f64(x), indicator.codes, indicator.shape[1])
     return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
 
 
@@ -434,7 +399,7 @@ def _nb_entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
                            attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
     if not isinstance(entity, np.ndarray):
         return _ref_entity_cross_block(entity, indicator, attribute, dtype)
-    sk = _numba().scatter_columns(_f64(entity.T), _codes(indicator),
+    sk = _numba().scatter_columns(_f64(entity.T), indicator.codes,
                                   indicator.shape[1])
     return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
 
@@ -486,7 +451,6 @@ _IMPLS: Dict[str, Dict[str, Callable]] = {
         "partial_scores": _ref_partial_scores,
         "sgd_step": _ref_sgd_step,
         "logistic_sgd_step": _ref_logistic_sgd_step,
-        "take_indicator_rows": _ref_take_indicator_rows,
     },
     "numpy": {
         "gather_add": _np_gather_add,
@@ -499,7 +463,9 @@ _IMPLS: Dict[str, Dict[str, Callable]] = {
         "scatter_colsums": _np_scatter_colsums,
         "scatter_total": _np_scatter_total,
         "gather_dot": _np_gather_dot,
-        "take_indicator_rows": _np_take_indicator_rows,
+        "partial_scores": _ref_partial_scores,
+        "sgd_step": _ref_sgd_step,
+        "logistic_sgd_step": _ref_logistic_sgd_step,
     },
     "numba": {
         "gather_add": _nb_gather_add,
@@ -703,7 +669,3 @@ def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
     """One fused logistic mini-batch step; returns ``(w_new, batch_scores)``."""
     return _impl("logistic_sgd_step")(data, y, w, step_size, update)
 
-
-def take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
-    """Row-take of an indicator; CSR indicators rebuild straight from codes."""
-    return _impl("take_indicator_rows")(indicator, indices)

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from numpy.linalg import pinv as _dense_pinv
 
 from repro.exceptions import ShapeError
-from repro.la.types import MatrixLike, ensure_2d, is_chain, is_sparse, to_dense
+from repro.la.indicator import CodeIndicator
+from repro.la.types import MatrixLike, ensure_2d, is_indicator, is_sparse, to_dense
 
 Scalar = Union[int, float, np.floating, np.integer]
 
@@ -36,7 +37,7 @@ def rowsums(x: MatrixLike) -> np.ndarray:
     K-Means (squared-norm pre-computation).
     """
     x = ensure_2d(x)
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or is_indicator(x):
         return np.asarray(x.sum(axis=1)).reshape(-1, 1)
     return np.asarray(x).sum(axis=1, keepdims=True)
 
@@ -44,7 +45,7 @@ def rowsums(x: MatrixLike) -> np.ndarray:
 def colsums(x: MatrixLike) -> np.ndarray:
     """Column-wise sum of *x* as a ``(1, d)`` dense row vector (R's ``colSums``)."""
     x = ensure_2d(x)
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or is_indicator(x):
         return np.asarray(x.sum(axis=0)).reshape(1, -1)
     return np.asarray(x).sum(axis=0, keepdims=True)
 
@@ -69,7 +70,7 @@ def row_min(x: MatrixLike) -> np.ndarray:
 
 def nnz(x: MatrixLike) -> int:
     """Number of structurally non-zero elements of *x*."""
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or is_indicator(x):
         return int(x.nnz)
     return int(np.count_nonzero(np.asarray(x)))
 
@@ -87,11 +88,10 @@ def matmul(a: MatrixLike, b: MatrixLike) -> MatrixLike:
     a2, b2 = ensure_2d(a), ensure_2d(b)
     if a2.shape[1] != b2.shape[0]:
         raise ShapeError(f"matmul: inner dimensions do not agree {a2.shape} @ {b2.shape}")
-    if is_chain(a2):
-        # Chained indicators fold their hops one sparse product at a time
-        # (small end first), never materializing the chain product.
+    if is_indicator(a2):
+        # Code-vector indicators gather / scatter in code space.
         return a2 @ b2
-    if is_chain(b2):
+    if is_indicator(b2):
         return b2.__rmatmul__(a2)
     if is_sparse(a2) and is_sparse(b2):
         return a2 @ b2
@@ -209,18 +209,18 @@ def block_grid(blocks: Sequence[Sequence[MatrixLike]]) -> np.ndarray:
     return np.vstack(rows)
 
 
-def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) -> sp.csr_matrix:
-    """Build a sparse 0/1 indicator matrix from integer row labels.
+def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) -> CodeIndicator:
+    """Build a 0/1 indicator matrix from integer row labels.
 
     ``labels[i] = j`` produces a matrix ``K`` with ``K[i, j] = 1``.  This is
     exactly the paper's construction of the PK-FK indicator matrix from the
     foreign-key column (Section 3.1) and of ``IS``/``IR`` for M:N joins
-    (Section 3.6).  Labels are zero-based.
+    (Section 3.6).  Labels are zero-based; the result stores them as its
+    code vector (:class:`~repro.la.indicator.CodeIndicator`).
     """
     lab = np.asarray(to_dense(labels)).ravel().astype(np.int64)
     if lab.size and lab.min() < 0:
         raise ShapeError("indicator_from_labels: labels must be non-negative")
-    n_rows = lab.shape[0]
     n_cols = int(lab.max()) + 1 if lab.size else 0
     if num_columns is not None:
         if lab.size and num_columns <= lab.max():
@@ -228,8 +228,7 @@ def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) ->
                 f"indicator_from_labels: num_columns={num_columns} too small for max label {lab.max()}"
             )
         n_cols = num_columns
-    data = np.ones(n_rows, dtype=np.float64)
-    return sp.csr_matrix((data, (np.arange(n_rows), lab)), shape=(n_rows, n_cols))
+    return CodeIndicator.trusted(lab, n_cols)
 
 
 # ---------------------------------------------------------------------------

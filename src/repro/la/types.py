@@ -7,8 +7,10 @@ The library works with three families of operand:
 * the library's own logical types (``NormalizedMatrix``,
   ``MNNormalizedMatrix``, ``RowPartitioned``).
 
-The helpers in this module normalize the first two so the rest of the code
-never needs to branch on ``isinstance`` checks scattered around.
+Indicator matrices are :class:`~repro.la.indicator.CodeIndicator` code
+vectors; the helpers in this module treat them like sparse matrices and
+normalize them together with the first two families, so the rest of the
+code never needs to branch on ``isinstance`` checks scattered around.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ShapeError
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import CodeIndicator
 
 #: Anything accepted as a plain (non-normalized) matrix operand.
 MatrixLike = Union[np.ndarray, sp.spmatrix]
@@ -30,9 +32,9 @@ def is_sparse(x: object) -> bool:
     return sp.issparse(x)
 
 
-def is_chain(x: object) -> bool:
-    """Return ``True`` if *x* is a multi-hop :class:`ChainedIndicator`."""
-    return isinstance(x, ChainedIndicator)
+def is_indicator(x: object) -> bool:
+    """Return ``True`` if *x* is a code-vector :class:`CodeIndicator`."""
+    return isinstance(x, CodeIndicator)
 
 
 def is_dense(x: object) -> bool:
@@ -60,7 +62,7 @@ def ensure_2d(x: MatrixLike) -> MatrixLike:
     Sparse matrices are always 2-D already.  Raises :class:`ShapeError` for
     inputs with more than two dimensions.
     """
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or is_indicator(x):
         return x
     arr = np.asarray(x)
     if arr.ndim == 1:
@@ -72,8 +74,8 @@ def ensure_2d(x: MatrixLike) -> MatrixLike:
 
 def to_dense(x: MatrixLike) -> np.ndarray:
     """Return a dense ``ndarray`` view/copy of *x*."""
-    if is_chain(x):
-        x = x.tocsr()
+    if is_indicator(x):
+        return x.toarray()
     if is_sparse(x):
         return np.asarray(x.todense())
     return np.asarray(x)
@@ -81,7 +83,7 @@ def to_dense(x: MatrixLike) -> np.ndarray:
 
 def to_sparse(x: MatrixLike, fmt: str = "csr") -> sp.spmatrix:
     """Return *x* as a SciPy sparse matrix in the requested format."""
-    if is_chain(x):
+    if is_indicator(x):
         x = x.tocsr()
     if is_sparse(x):
         return x.asformat(fmt)
@@ -90,7 +92,7 @@ def to_sparse(x: MatrixLike, fmt: str = "csr") -> sp.spmatrix:
 
 def shape_of(x: MatrixLike) -> tuple:
     """Return the 2-D shape of *x*, promoting 1-D vectors to column shape."""
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or is_indicator(x):
         return x.shape
     arr = np.asarray(x)
     if arr.ndim == 1:

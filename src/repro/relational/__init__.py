@@ -11,7 +11,7 @@ data to the matrices the Morpheus core consumes:
 * :mod:`repro.relational.schema` -- column/key/schema descriptors and
   validation.
 * :mod:`repro.relational.join` -- PK-FK joins, star-schema joins and M:N
-  equi-joins, including construction of the sparse indicator matrices ``K``
+  equi-joins, including construction of the indicator matrices ``K``
   and ``(IS, IR)`` that define the normalized matrix.
 * :mod:`repro.relational.encoding` -- one-hot encoding of categorical columns
   into sparse feature matrices (how the paper's "real" datasets become sparse

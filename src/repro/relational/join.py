@@ -5,7 +5,7 @@ Given base tables it can either
 
 * **materialize** the join output (what the paper calls the materialized
   approach, "M"), or
-* build the sparse **indicator matrices** that define the normalized matrix
+* build the **indicator matrices** that define the normalized matrix
   (the factorized approach, "F"): ``K_i`` for star-schema PK-FK joins
   (Section 3.1 and 3.5) and ``(I_S, I_R)`` for M:N equi-joins (Section 3.6).
 
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import SchemaError
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import CodeIndicator, compose
 from repro.la.ops import indicator_from_labels
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
@@ -37,7 +36,7 @@ class JoinResult:
     materialized:
         The joined :class:`Table` when materialization was requested.
     indicators:
-        List of sparse indicator matrices (one per attribute table for star
+        List of indicator matrices (one per attribute table for star
         schemas; ``[I_S, I_R]`` for M:N joins).
     row_mappings:
         For each indicator matrix, the integer row labels it was built from
@@ -45,7 +44,7 @@ class JoinResult:
     """
 
     materialized: Optional[Table] = None
-    indicators: List[sp.csr_matrix] = field(default_factory=list)
+    indicators: List[CodeIndicator] = field(default_factory=list)
     row_mappings: List[np.ndarray] = field(default_factory=list)
 
 
@@ -78,7 +77,7 @@ def _check_key_nan(table: Table, column: str, role: str) -> None:
 
 
 def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
-                    pk_column: str) -> Tuple[sp.csr_matrix, np.ndarray]:
+                    pk_column: str) -> Tuple[CodeIndicator, np.ndarray]:
     """Build the PK-FK indicator matrix ``K`` for one foreign-key edge.
 
     ``K`` has shape ``(n_S, n_R)`` with ``K[i, j] = 1`` iff row ``i`` of the
@@ -117,19 +116,20 @@ def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
     return indicator, labels
 
 
-def chained_indicator(hops: Sequence[sp.spmatrix]):
-    """Compose per-hop PK-FK indicators into one (possibly chained) indicator.
+def chained_indicator(hops: Sequence[CodeIndicator]) -> CodeIndicator:
+    """Compose per-hop PK-FK indicators into one indicator.
 
-    A single hop is returned as-is; multiple hops become a factorized
-    :class:`~repro.la.chain.ChainedIndicator` representing the product
-    ``K_1 K_2 ... K_h`` without materializing it.
+    A single hop is returned as-is.  Multiple hops compose, once, into the
+    code vector of their product ``K_1 K_2 ... K_h`` (``c_h[... c_2[c_1]]``):
+    the product of one-1-per-row indicators has one 1 per row, so a
+    snowflake path is an ordinary indicator to everything downstream.
+    Raises :class:`~repro.exceptions.ShapeError` when a hop's row count does
+    not match the previous hop's column count.
     """
     hops = list(hops)
     if not hops:
         raise SchemaError("chained_indicator needs at least one hop")
-    if len(hops) == 1:
-        return hops[0]
-    return ChainedIndicator(hops)
+    return compose(hops)
 
 
 def drop_unreferenced(entity: Table, fk_column: str, attribute: Table,
@@ -206,7 +206,7 @@ def star_indicators(entity: Table, edges: Sequence[Tuple[str, Table, str]]
 # ---------------------------------------------------------------------------
 
 def mn_join_indicators(left: Table, left_column: str, right: Table,
-                       right_column: str) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+                       right_column: str) -> Tuple[CodeIndicator, CodeIndicator]:
     """Build the pair of indicator matrices ``(I_S, I_R)`` for an M:N equi-join.
 
     Following Section 3.6, we conceptually compute the non-deduplicating
@@ -243,8 +243,7 @@ def join_mn(left: Table, left_column: str, right: Table, right_column: str,
             right_columns: Optional[Sequence[str]] = None) -> Table:
     """Materialize an M:N equi-join with the same row order as the indicators."""
     i_s, i_r = mn_join_indicators(left, left_column, right, right_column)
-    left_labels = np.asarray(i_s.argmax(axis=1)).ravel()
-    right_labels = np.asarray(i_r.argmax(axis=1)).ravel()
+    left_labels, right_labels = i_s.codes, i_r.codes
     if left_columns is None:
         left_columns = list(left.column_names)
     if right_columns is None:

@@ -138,17 +138,14 @@ def normalized_from_schema(graph: SchemaGraph, tables,
                            entity_features: Optional[Sequence[str]] = None,
                            target_column: Optional[str] = None,
                            sparse: bool = True,
-                           features: Optional[dict] = None,
-                           collapse: str = "auto",
-                           workload=None) -> NormalizedDataset:
+                           features: Optional[dict] = None) -> NormalizedDataset:
     """Lift a declarative snowflake :class:`SchemaGraph` into a normalized matrix.
 
     Walks the graph's joins masters-first, builds one PK-FK hop indicator per
     join (memoized, so a shared dimension joined under two roles reuses the
-    same hop matrix), and gives each alias a (possibly multi-hop) indicator:
-    the chain of hops along ``graph.join_path(alias)``, kept factorized as a
-    :class:`~repro.la.chain.ChainedIndicator` unless the collapse policy
-    decides materializing the product is cheaper for the workload.
+    same hop matrix), and gives each alias one indicator: the hops along
+    ``graph.join_path(alias)`` composed, once, into a single code vector
+    (:func:`~repro.relational.join.chained_indicator`).
 
     Parameters
     ----------
@@ -166,18 +163,7 @@ def normalized_from_schema(graph: SchemaGraph, tables,
         Optional per-alias override: alias -> list of feature columns of that
         dimension table.  Aliases not listed fall back to the schema-derived
         default (feature columns minus the keys the graph uses).
-    collapse:
-        Chain-collapse policy: ``"auto"`` (cost-based,
-        :func:`repro.core.planner.chains.decide_collapse`), ``"never"``, or
-        ``"always"``.  Decisions are recorded on the result matrix
-        (``chain_decisions``) so ``Plan.explain()`` can report them.
-    workload:
-        Optional :class:`~repro.core.planner.workload.WorkloadDescriptor`
-        informing the ``"auto"`` collapse decision (how many passes will
-        amortize a materialized chain); defaults to a single generic pass.
     """
-    from repro.core.planner.chains import maybe_collapse
-
     graph.validate_tables(tables)
     fact = tables[graph.fact]
 
@@ -221,20 +207,11 @@ def normalized_from_schema(graph: SchemaGraph, tables,
 
     indicators = []
     attributes = []
-    chain_decisions: List[dict] = []
     overrides = features or {}
-    for table_index, join in enumerate(graph.resolve_order()):
+    for join in graph.resolve_order():
         alias = join.alias
         detail_table = tables[join.detail.table]
-        hops = [hop_indicator(j) for j in graph.join_path(alias)]
-        indicator = chained_indicator(hops)
-        if len(hops) > 1:
-            indicator, decision = maybe_collapse(
-                indicator, workload, table_index, mode=collapse)
-            if decision.collapse:
-                # Live chains get fresh decisions at plan time; only collapsed
-                # ones must be recorded here or the choice would be invisible.
-                chain_decisions.append(decision.to_json())
+        indicator = chained_indicator([hop_indicator(j) for j in graph.join_path(alias)])
         alias_features = overrides.get(alias)
         if alias_features is None:
             alias_features = default_features(alias, detail_table)
@@ -245,8 +222,6 @@ def normalized_from_schema(graph: SchemaGraph, tables,
         feature_names.extend(f"{alias}.{name}" for name in encoded.feature_names)
 
     normalized = NormalizedMatrix(entity_matrix, indicators, attributes)
-    if chain_decisions:
-        normalized.chain_decisions = chain_decisions
 
     target = None
     if target_column is not None:

@@ -28,6 +28,10 @@ class TestNormalizedBatchIterator:
         for batch in iterator:
             assert batch.num_rows <= 17
             assert np.allclose(batch.data.to_dense(), materialized[batch.indices])
+            # An in-order batch is a slice_rows cut: its indicator codes are a
+            # view of the parent's, not a copy.
+            for sliced, parent in zip(batch.data.indicators, normalized.indicators):
+                assert np.shares_memory(sliced.codes, parent.codes)
             seen.append(batch.indices)
         assert np.array_equal(np.concatenate(seen), np.arange(materialized.shape[0]))
 
@@ -74,6 +78,8 @@ class TestNormalizedBatchIterator:
         _, normalized, materialized = mn_dataset
         for batch in NormalizedBatchIterator(normalized, batch_size=7):
             assert np.allclose(batch.data.to_dense(), materialized[batch.indices])
+            for sliced, parent in zip(batch.data.indicators, normalized.indicators):
+                assert np.shares_memory(sliced.codes, parent.codes)
 
     def test_plain_matrix_batches(self, rng):
         dense = rng.standard_normal((31, 4))
@@ -309,6 +315,17 @@ class TestMemoryModel:
         sparse = sp.random(50, 20, density=0.1, random_state=0, format="csr")
         assert matrix_nbytes(sparse) > 0
         assert matrix_nbytes(None) == 0
+
+    def test_indicator_priced_at_its_codes(self, multi_join_dense):
+        # An indicator keeps only its n int64 codes resident, not a dense
+        # n x n_R matrix.
+        _, normalized, _ = multi_join_dense
+        n = normalized.shape[0]
+        for indicator in normalized.indicators:
+            assert matrix_nbytes(indicator) == 8 * n
+        expected = (matrix_nbytes(normalized.entity) + 8 * n * normalized.num_joins
+                    + sum(matrix_nbytes(r) for r in normalized.attributes))
+        assert factorized_nbytes(normalized) == expected
 
     def test_normalized_footprints_ordering(self, single_join_dense):
         _, normalized, materialized = single_join_dense

@@ -15,6 +15,9 @@ class TestTakeRows:
         subset = normalized.take_rows(indices)
         assert isinstance(subset, NormalizedMatrix)
         assert np.allclose(subset.to_dense(), materialized[indices, :])
+        # A row take is a take of the indicator codes.
+        np.testing.assert_array_equal(subset.indicators[0].codes,
+                                      normalized.indicators[0].codes[indices])
 
     def test_multi_join(self, multi_join_dense):
         _, normalized, materialized = multi_join_dense
@@ -40,7 +43,10 @@ class TestTakeRows:
     def test_duplicate_and_reordered_rows(self, single_join_dense):
         _, normalized, materialized = single_join_dense
         indices = np.array([7, 7, 1, 0])
-        assert np.allclose(normalized.take_rows(indices).to_dense(), materialized[indices, :])
+        subset = normalized.take_rows(indices)
+        assert np.allclose(subset.to_dense(), materialized[indices, :])
+        np.testing.assert_array_equal(subset.indicators[0].codes,
+                                      normalized.indicators[0].codes[indices])
 
     def test_out_of_range_rejected(self, single_join_dense):
         _, normalized, _ = single_join_dense

@@ -1,7 +1,9 @@
-"""Unit tests for :class:`repro.la.chain.ChainedIndicator`.
+"""Multi-hop indicator composition through the join builder.
 
-Every structural operation (products, transposes, aggregation, slicing) is
-checked against the collapsed CSR product -- the chain must be
+:func:`repro.relational.join.chained_indicator` composes a snowflake path
+``K1 K2 ... Kh`` once into one code vector.  Every structural operation
+(products, transposes, aggregation) on the composed indicator is checked
+against the dense product of its hops -- the composition must be
 indistinguishable from the matrix it represents.
 """
 
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import ShapeError
-from repro.la.chain import ChainedIndicator
+from repro.exceptions import SchemaError, ShapeError
+from repro.la.indicator import CodeIndicator
 from repro.la.ops import indicator_from_labels
+from repro.relational.join import chained_indicator
 
 
 def _hops():
@@ -22,46 +25,68 @@ def _hops():
 
 
 def _chain():
-    return ChainedIndicator(list(_hops()))
+    return chained_indicator(list(_hops()))
 
 
 def _reference():
     k1, k2 = _hops()
-    return (k1 @ k2).toarray()
+    return k1.toarray() @ k2.toarray()
 
 
-# -- construction --------------------------------------------------------------
+# -- composition ---------------------------------------------------------------
+
+
+def test_composed_indicator_equals_dense_product_of_hops():
+    chain = _chain()
+    assert isinstance(chain, CodeIndicator)
+    np.testing.assert_array_equal(chain.toarray(), _reference())
+
+
+def test_three_hop_composition_equals_dense_product():
+    rng = np.random.default_rng(4)
+    hops, rows = [], 30
+    for n_next in (12, 5, 3):
+        labels = np.concatenate([np.arange(n_next),
+                                 rng.integers(0, n_next, size=rows - n_next)])
+        rng.shuffle(labels)
+        hops.append(indicator_from_labels(labels, num_columns=n_next))
+        rows = n_next
+    chain = chained_indicator(hops)
+    assert chain.shape == (30, 3)
+    expected = hops[0].toarray() @ hops[1].toarray() @ hops[2].toarray()
+    np.testing.assert_array_equal(chain.toarray(), expected)
 
 
 def test_empty_hops_rejected():
-    with pytest.raises(ShapeError, match="at least one hop"):
-        ChainedIndicator([])
+    with pytest.raises(SchemaError, match="at least one hop"):
+        chained_indicator([])
 
 
 def test_dense_hop_rejected():
-    with pytest.raises(ShapeError, match="must be sparse"):
-        ChainedIndicator([np.eye(3)])
+    k1, _ = _hops()
+    with pytest.raises(ShapeError, match="not an untransposed CodeIndicator"):
+        chained_indicator([np.eye(8), k1])
 
 
 def test_inner_dimension_mismatch_rejected():
     k1 = indicator_from_labels([0, 1, 2], num_columns=3)
     k2 = indicator_from_labels([0, 1], num_columns=2)  # 2 rows != 3 columns
     with pytest.raises(ShapeError, match="hop 0 has 3 columns but hop 1 has 2 rows"):
-        ChainedIndicator([k1, k2])
+        chained_indicator([k1, k2])
 
 
 def test_nested_chain_flattens():
     k1, k2 = _hops()
-    inner = ChainedIndicator([k2])
-    chain = ChainedIndicator([k1, inner])
-    assert chain.num_hops == 2
-    np.testing.assert_array_equal(chain.toarray(), _reference())
+    k3 = indicator_from_labels([0, 0], num_columns=1)
+    nested = chained_indicator([k1, chained_indicator([k2, k3])])
+    flat = chained_indicator([k1, k2, k3])
+    np.testing.assert_array_equal(nested.codes, flat.codes)
 
 
 def test_nested_transposed_chain_rejected():
     k1, k2 = _hops()
-    with pytest.raises(ShapeError, match="transposed chain"):
-        ChainedIndicator([k1, ChainedIndicator([k2]).T])
+    with pytest.raises(ShapeError, match="not an untransposed"):
+        chained_indicator([k1, k2.T])
 
 
 # -- shape, transpose, materialization -----------------------------------------
@@ -76,31 +101,12 @@ def test_shape_and_metadata():
     assert chain.nnz == 8  # one 1 per entity row, like any PK-FK indicator
 
 
-def test_collapse_is_cached_and_correct():
-    chain = _chain()
-    first = chain.collapse()
-    assert chain.collapse() is first
-    np.testing.assert_array_equal(first.toarray(), _reference())
-    # The transposed view shares the cached product.
-    assert chain.T._collapsed is first
-
-
 def test_tocsr_and_toarray_respect_transpose():
     chain = _chain()
     np.testing.assert_array_equal(chain.toarray(), _reference())
     np.testing.assert_array_equal(chain.T.toarray(), _reference().T)
     assert sp.issparse(chain.T.tocsr())
-
-
-def test_copy_and_astype():
-    chain = _chain()
-    dup = chain.copy()
-    assert dup is not chain
-    assert dup.hops[0] is not chain.hops[0]
-    np.testing.assert_array_equal(dup.toarray(), chain.toarray())
-    as_f32 = chain.astype(np.float32)
-    assert as_f32.dtype == np.float32
-    np.testing.assert_array_equal(as_f32.toarray(), _reference().astype(np.float32))
+    np.testing.assert_array_equal(chain.T.tocsr().toarray(), _reference().T)
 
 
 # -- products ------------------------------------------------------------------
@@ -117,8 +123,8 @@ def test_matmul_one_dimensional_operand():
     chain = _chain()
     v = np.arange(2.0)
     out = chain @ v
-    assert out.shape == (8, 1)
-    np.testing.assert_allclose(out[:, 0], _reference() @ v, atol=1e-12)
+    assert out.shape == (8,)
+    np.testing.assert_allclose(out, _reference() @ v, atol=1e-12)
 
 
 def test_rmatmul_matches_collapsed():
@@ -128,8 +134,8 @@ def test_rmatmul_matches_collapsed():
     np.testing.assert_allclose(y @ chain, y @ _reference(), atol=1e-12)
     w = np.arange(8.0)
     out = w @ chain
-    assert out.shape == (1, 2)
-    np.testing.assert_allclose(out[0], w @ _reference(), atol=1e-12)
+    assert out.shape == (2,)
+    np.testing.assert_allclose(out, w @ _reference(), atol=1e-12)
 
 
 def test_transposed_products():
@@ -141,12 +147,29 @@ def test_transposed_products():
     np.testing.assert_allclose(y @ chain.T, y @ _reference().T, atol=1e-12)
 
 
+def test_products_keep_the_data_dtype():
+    chain = _chain()
+    x = np.ones((2, 3), dtype=np.float32)
+    assert (chain @ x).dtype == np.float32
+    assert (chain.T @ np.ones((8, 3), dtype=np.float32)).dtype == np.float32
+    assert (np.ones((3, 8), dtype=np.float32) @ chain).dtype == np.float32
+
+
 def test_sparse_operands_stay_sparse():
     chain = _chain()
+    ref = _reference()
     x = sp.random(2, 4, density=0.5, format="csr", random_state=3)
     out = chain @ x
     assert sp.issparse(out)
-    np.testing.assert_allclose(out.toarray(), _reference() @ x.toarray(), atol=1e-12)
+    np.testing.assert_allclose(out.toarray(), ref @ x.toarray(), atol=1e-12)
+    y = sp.random(8, 3, density=0.5, format="csr", random_state=4)
+    z = sp.random(3, 8, density=0.5, format="csc", random_state=5)
+    w = sp.random(3, 2, density=0.5, format="coo", random_state=6)
+    for out, expected in ((chain.T @ y, ref.T @ y.toarray()),
+                          (z @ chain, z.toarray() @ ref),
+                          (w @ chain.T, w.toarray() @ ref.T)):
+        assert sp.issparse(out)
+        np.testing.assert_allclose(out.toarray(), expected, atol=1e-12)
 
 
 def test_matmul_shape_mismatch():
@@ -159,9 +182,7 @@ def test_matmul_shape_mismatch():
 
 def test_chain_matmul_chain():
     k1, k2 = _hops()
-    left = ChainedIndicator([k1])
-    right = ChainedIndicator([k2])
-    np.testing.assert_array_equal(np.asarray((left @ right).todense()), _reference())
+    np.testing.assert_array_equal(np.asarray((k1 @ k2).todense()), _reference())
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -180,43 +201,22 @@ def test_sum_matches_scipy_semantics():
 # -- slicing -------------------------------------------------------------------
 
 
-def test_row_slice_stays_factorized_and_shares_tail():
-    chain = _chain()
-    sliced = chain[2:6, :]
-    assert isinstance(sliced, ChainedIndicator)
-    assert sliced.hops[1] is chain.hops[1]  # tail hop shared by reference
-    np.testing.assert_array_equal(sliced.toarray(), _reference()[2:6, :])
-
-
-def test_column_slice_stays_factorized_and_shares_head():
-    chain = _chain()
-    sliced = chain[:, [1]]
-    assert isinstance(sliced, ChainedIndicator)
-    assert sliced.hops[0] is chain.hops[0]  # head hop shared by reference
-    np.testing.assert_array_equal(sliced.toarray(), _reference()[:, [1]])
-
-
 def test_full_slice_returns_equivalent_chain():
     chain = _chain()
-    sliced = chain[:, :]
-    assert isinstance(sliced, ChainedIndicator)
-    np.testing.assert_array_equal(sliced.toarray(), _reference())
+    full = chain[:, :]
+    assert isinstance(full, CodeIndicator)
+    assert np.shares_memory(full.codes, chain.codes)
+    np.testing.assert_array_equal(full.toarray(), _reference())
 
 
-def test_row_and_column_slice_falls_back_to_collapsed():
+def test_column_slice_is_sparse():
+    # A column selection can leave rows without a 1, so it leaves code space.
     chain = _chain()
-    out = chain[1:4, 0:1]
-    assert sp.issparse(out)
-    np.testing.assert_array_equal(out.toarray(), _reference()[1:4, 0:1])
-
-
-def test_transposed_slicing():
-    chain = _chain().T
-    sliced = chain[:, 2:6]  # columns of the transpose = rows of the product
-    assert isinstance(sliced, ChainedIndicator)
-    np.testing.assert_array_equal(sliced.toarray(), _reference().T[:, 2:6])
-
-
-def test_non_2d_indexing_rejected():
-    with pytest.raises(TypeError, match="2-D indexing"):
-        _chain()[0]
+    for cols in ([1], [1, 0], [0, 0, 1], []):
+        sliced = chain[:, cols]
+        assert sp.issparse(sliced)
+        np.testing.assert_array_equal(sliced.toarray(), _reference()[:, cols])
+    with pytest.raises(TypeError):
+        chain[1:3, [0]]
+    with pytest.raises(TypeError):
+        chain.T[0]

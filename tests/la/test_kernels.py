@@ -10,13 +10,12 @@ every factorized rewrite, so their contract is strict:
 * the golden operator traces are byte-identical whichever set is active --
   tracing always routes through the reference primitive chains;
 * operand dtypes survive the rewrite layer (the float32 round-trip pin);
-* ``indicator_codes`` is memoized per indicator object and invalidated when
-  the indicator dies.
+* ``indicator_codes`` returns the codes an indicator is stored as, and the
+  ``numpy`` set implements every kernel (no fallback on the default path).
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import pathlib
 import threading
@@ -25,13 +24,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.indicator import indicator_codes, reset_codes_cache
+from repro import obs
+from repro.core.indicator import indicator_codes
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.la import kernels
-from repro.la.chain import ChainedIndicator
 from repro.la.ops import indicator_from_labels
 from repro.la.parallel import ParallelExecutor
+from repro.relational.join import chained_indicator
 
 ATOL = 1e-10
 
@@ -81,7 +81,7 @@ def _snowflake(seed: int) -> NormalizedMatrix:
         hops.append(indicator_from_labels(_labels(rng, rows, n_next), num_columns=n_next))
         rows = n_next
     attribute = rng.standard_normal((rows, 3))
-    return NormalizedMatrix(entity, [ChainedIndicator(hops)], [attribute])
+    return NormalizedMatrix(entity, [chained_indicator(hops)], [attribute])
 
 
 MATRICES = {
@@ -150,15 +150,17 @@ def test_fused_sets_agree_on_zero_row_batches(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_take_indicator_rows_matches_fancy_indexing(seed):
-    """The fused CSR slice equals the generic CSR fancy-indexing slice."""
+    """A take_rows batch's indicator equals CSR fancy indexing of the parent's
+    indicator, whichever kernel set is active."""
+    matrix = _star(seed)
     rng = np.random.default_rng(seed)
-    indicator = indicator_from_labels(_labels(rng, 31, 9), num_columns=9)
-    indices = rng.integers(0, 31, size=12)
-    expected = indicator[indices, :].toarray()
+    indices = rng.integers(0, matrix.shape[0], size=12)
+    expected = [k.tocsr()[indices, :].toarray() for k in matrix.indicators]
     for name in kernels.available_sets():
         with kernels.using(name):
-            sliced = kernels.take_indicator_rows(indicator, indices)
-        assert np.array_equal(np.asarray(sp.csr_matrix(sliced).toarray()), expected)
+            batch = matrix.take_rows(indices)
+        for sliced, want in zip(batch.indicators, expected):
+            assert np.array_equal(sliced.toarray(), want)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -341,6 +343,7 @@ class TestRegistry:
         assert set(inventory) == set(kernels.KERNEL_NAMES)
         for name, sets in inventory.items():
             assert "reference" in sets, f"{name} lacks a reference implementation"
+            assert "numpy" in sets, f"{name} would fall back from the numpy set"
 
 
 # -- indicator-code memoization -----------------------------------------------
@@ -364,35 +367,49 @@ class TestCodesMemoization:
         rng = np.random.default_rng(2)
         hop1 = indicator_from_labels(_labels(rng, 12, 6), num_columns=6)
         hop2 = indicator_from_labels(_labels(rng, 6, 3), num_columns=3)
-        chain = ChainedIndicator([hop1, hop2])
+        chain = chained_indicator([hop1, hop2])
         expected = indicator_codes(hop2)[indicator_codes(hop1)]
         assert np.array_equal(indicator_codes(chain), expected)
-
-    def test_cache_evicts_dead_indicators(self):
-        from repro.core import indicator as indicator_module
-
-        reset_codes_cache()
-        rng = np.random.default_rng(3)
-        k = indicator_from_labels(_labels(rng, 9, 4), num_columns=4)
-        indicator_codes(k)
-        assert len(indicator_module._CODES_CACHE) == 1
-        del k
-        gc.collect()
-        assert len(indicator_module._CODES_CACHE) == 0
-
-    def test_reset_codes_cache(self):
-        from repro.core import indicator as indicator_module
-
-        rng = np.random.default_rng(4)
-        k = indicator_from_labels(_labels(rng, 9, 4), num_columns=4)
-        indicator_codes(k)
-        reset_codes_cache()
-        assert len(indicator_module._CODES_CACHE) == 0
-        # Still correct after a reset (recomputed and re-cached).
-        assert indicator_codes(k).shape == (9,)
 
     def test_scorer_and_zone_map_share_cached_codes(self):
         """The serving scorer and the zone-map index hit the same cache entry."""
         rng = np.random.default_rng(5)
         indicator = indicator_from_labels(_labels(rng, 13, 4), num_columns=4)
         assert indicator_codes(indicator) is indicator_codes(indicator)
+
+
+# -- the default numpy set implements every kernel ------------------------------
+
+class TestNoFallback:
+    @pytest.fixture(autouse=True)
+    def _obs(self):
+        obs.enable()
+        obs.REGISTRY.reset()
+        yield
+        obs.disable()
+        obs.REGISTRY.reset()
+
+    def _fallbacks(self) -> float:
+        return obs.REGISTRY.get("repro_kernel_fallback_total").value
+
+    def test_streamed_fit_and_serving_batch_do_not_fall_back(self):
+        from repro.ml import LinearRegressionGD, LogisticRegressionGD, ServingExport
+        from repro.serve import FactorizedScorer
+
+        matrix = _star(0)
+        rng = np.random.default_rng(0)
+        y = rng.standard_normal((matrix.shape[0], 1))
+        with kernels.using("numpy"):
+            LinearRegressionGD(max_iter=3, step_size=1e-3, solver="sgd",
+                               batch_size=7).fit(matrix, y)
+            LogisticRegressionGD(max_iter=3, solver="sgd", batch_size=7).fit(
+                matrix, np.sign(y) + (y == 0))
+            scorer = FactorizedScorer(
+                ServingExport("linear_regression",
+                              rng.standard_normal((matrix.shape[1], 1))), matrix)
+            scorer.score_rows(np.arange(matrix.shape[0]))
+        dispatched = obs.REGISTRY.get("repro_kernel_dispatch_total").series()
+        kernels_run = {labels[0] for labels, _ in dispatched}
+        assert {"sgd_step", "logistic_sgd_step", "partial_scores",
+                "gather_dot"} <= kernels_run
+        assert self._fallbacks() == 0

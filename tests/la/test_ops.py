@@ -187,7 +187,7 @@ class TestIndicatorFromLabels:
 
     def test_one_nonzero_per_row(self):
         k = ops.indicator_from_labels(np.array([1, 1, 1, 0]))
-        assert np.all(np.diff(k.indptr) == 1)
+        assert np.all(np.diff(k.tocsr().indptr) == 1)
 
     def test_num_columns_padding(self):
         k = ops.indicator_from_labels(np.array([0, 1]), num_columns=5)

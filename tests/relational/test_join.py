@@ -213,16 +213,17 @@ class TestChainedIndicatorBuilder:
         assert chained_indicator([hop]) is hop
 
     def test_multi_hop_builds_chain(self, entity, stores):
-        from repro.la.chain import ChainedIndicator
+        from repro.la.indicator import CodeIndicator
         hop1, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
         regions = Table("regions", {"region_id": np.array([0, 1])})
         stores_with_region = stores.with_column("region_id", np.array([0, 1, 0]))
         hop2, _ = pk_fk_indicator(stores_with_region, "region_id", regions, "region_id")
         chain = chained_indicator([hop1, hop2])
-        assert isinstance(chain, ChainedIndicator)
+        assert isinstance(chain, CodeIndicator)
         assert chain.shape == (entity.num_rows, 2)
+        np.testing.assert_array_equal(chain.codes, hop2.codes[hop1.codes])
         np.testing.assert_array_equal(
-            chain.toarray(), (hop1 @ hop2).toarray())
+            chain.toarray(), hop1.toarray() @ hop2.toarray())
 
 
 class TestJoinedSchemaPreservation:

@@ -244,34 +244,18 @@ class TestNormalizedFromSchema:
             dataset.target.ravel(), tables["orders"].column("total"))
 
     def test_two_hop_alias_stays_factorized_by_default(self, snowflake):
-        from repro.la.chain import ChainedIndicator
+        from repro.la.indicator import CodeIndicator
+        from repro.relational.join import pk_fk_indicator
 
         graph, tables = snowflake
-        dataset = normalized_from_schema(graph, tables, collapse="never")
-        chains = [k for k in dataset.matrix.indicators
-                  if isinstance(k, ChainedIndicator)]
-        assert len(chains) == 1
-        assert chains[0].num_hops == 2
-
-    def test_collapse_always_materializes_chain(self, snowflake):
-        from repro.la.chain import ChainedIndicator
-
-        graph, tables = snowflake
-        dataset = normalized_from_schema(graph, tables, collapse="always")
-        assert not any(isinstance(k, ChainedIndicator)
-                       for k in dataset.matrix.indicators)
-        decisions = dataset.matrix.chain_decisions
-        assert len(decisions) == 1
-        assert decisions[0]["collapse"] is True
-        assert "forced" in decisions[0]["reason"]
-
-    def test_collapse_results_identical(self, snowflake):
-        graph, tables = snowflake
-        kept = normalized_from_schema(graph, tables, collapse="never")
-        collapsed = normalized_from_schema(graph, tables, collapse="always")
-        np.testing.assert_allclose(np.asarray(kept.matrix.to_dense()),
-                                   np.asarray(collapsed.matrix.to_dense()),
-                                   atol=1e-12)
+        dataset = normalized_from_schema(graph, tables)
+        assert all(isinstance(k, CodeIndicator) for k in dataset.matrix.indicators)
+        # orders -> customers -> regions composes to one n_S code vector.
+        [regions] = [k for k in dataset.matrix.indicators if k.shape[1] == 3]
+        hop1, _ = pk_fk_indicator(tables["orders"], "cust_id", tables["customers"], "id")
+        hop2, _ = pk_fk_indicator(tables["customers"], "region_id", tables["regions"], "id")
+        assert regions.codes.shape == (40,)
+        np.testing.assert_array_equal(regions.toarray(), hop1.toarray() @ hop2.toarray())
 
     def test_per_alias_feature_override(self, snowflake):
         graph, tables = snowflake
@@ -287,7 +271,7 @@ class TestNormalizedFromSchema:
         # the same column count but different row labels.
         ship, bill = dataset.matrix.indicators[1], dataset.matrix.indicators[2]
         assert ship.shape == bill.shape == (40, 5)
-        assert (ship != bill).nnz > 0
+        assert np.any(ship.codes != bill.codes)
 
     def test_missing_table_rejected(self, snowflake):
         graph, tables = snowflake

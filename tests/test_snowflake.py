@@ -4,9 +4,8 @@ The schema is orders -> customers -> regions (a two-hop chain: the regions
 indicator is the product of the customers and regions hops) plus one shared
 ``locations`` dimension joined under two roles (``ship_loc`` / ``bill_loc``).
 Built through :func:`normalized_from_schema`, all four ML algorithms must
-reproduce the dense materialized reference to 1e-8 on every engine, the
-planner must explain its chain-collapse decision, and the serving scorer must
-score the chained matrix exactly.
+reproduce the dense materialized reference to 1e-8 on every engine, and the
+serving scorer must score the composed matrix exactly.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import CodeIndicator
 from repro.ml import (
     GNMF,
     KMeans,
@@ -118,11 +117,16 @@ class TestSchemaConstruction:
         ]
 
     def test_two_hop_chain_kept_factorized(self, snowflake):
-        _, _, dataset, _ = snowflake
-        chains = [k for k in dataset.matrix.indicators
-                  if isinstance(k, ChainedIndicator)]
-        assert len(chains) == 1
-        assert chains[0].num_hops == 2
+        # The two-hop path is one n_S code vector routing orders to regions;
+        # the regions table itself stays unjoined.
+        _, tables, dataset, _ = snowflake
+        regions = dataset.matrix.indicators[3]
+        assert isinstance(regions, CodeIndicator)
+        assert regions.shape == (90, 4)
+        cust = tables["orders"].column("cust_id")
+        np.testing.assert_array_equal(
+            regions.codes, tables["customers"].column("region_id")[cust])
+        assert dataset.matrix.attributes[3].shape[0] == 4
 
     def test_materializes_to_reference(self, snowflake):
         _, _, dataset, dense = snowflake
@@ -164,28 +168,6 @@ class TestAllAlgorithmsAllEngines:
         reference = GNMF(rank=3, max_iter=ITERS, seed=1).fit(dense)
         np.testing.assert_allclose(model.w_, reference.w_, **TOL)
         np.testing.assert_allclose(model.h_, reference.h_, **TOL)
-
-
-class TestPlannerExplainsChains:
-    def test_auto_plan_reports_chain_decision(self, snowflake):
-        _, _, dataset, _ = snowflake
-        model = _fit(LinearRegressionGD, "auto", dataset.matrix, dataset.target,
-                     max_iter=ITERS, step_size=1e-4)
-        explanation = model.plan_.explain()
-        assert "multi-hop indicator chains:" in explanation
-        assert "2 hops" in explanation
-        assert "kept factorized" in explanation or "collapsed" in explanation
-
-    def test_collapsed_build_records_decision(self, snowflake):
-        graph, tables, _, dense = snowflake
-        dataset = normalized_from_schema(graph, tables, target_column="total",
-                                         collapse="always")
-        assert not any(isinstance(k, ChainedIndicator)
-                       for k in dataset.matrix.indicators)
-        [decision] = dataset.matrix.chain_decisions
-        assert decision["collapse"] is True
-        np.testing.assert_allclose(np.asarray(dataset.matrix.to_dense()),
-                                   dense, **TOL)
 
 
 class TestServingOverChains:
