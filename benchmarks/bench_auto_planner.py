@@ -141,13 +141,11 @@ def run_sweep(tuple_ratios: Sequence[float], feature_ratios: Sequence[float],
 
 def write_results(records: List[dict]) -> pathlib.Path:
     from repro.core.planner import get_profile
-    from repro.la.backend import backend_capabilities
 
     RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "acceptance_factor": ACCEPTANCE_FACTOR,
         "calibration": get_profile().to_json(),
-        "backends": backend_capabilities(),
         "points": records,
     }
     RESULTS_FILE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ factorized runtime stays flat -- speed-ups approaching two orders of magnitude.
 import pytest
 
 from _common import group_name, mn_dataset
-from repro.la.backend import ChunkedBackend
+from repro.core.shard import RowPartitioned
 from repro.ml import LogisticRegressionGD
 
 UNIQUENESS_POINTS = (0.5, 0.1, 0.02)
@@ -21,7 +21,7 @@ class TestChunkedLogisticMN:
     def test_materialized_chunked(self, benchmark, degree):
         benchmark.group = group_name("table10", "logreg-chunked", f"nU={degree:g}")
         dataset = mn_dataset(degree, num_rows=1_000, num_features=30)
-        chunked = ChunkedBackend(CHUNK_ROWS).from_dense(dataset.materialized)
+        chunked = RowPartitioned.chunked(dataset.materialized, CHUNK_ROWS)
         model = LogisticRegressionGD(max_iter=ITERATIONS, step_size=1e-4)
         benchmark.pedantic(lambda: model.fit(chunked, dataset.target), rounds=1, iterations=1,
                            warmup_rounds=0)

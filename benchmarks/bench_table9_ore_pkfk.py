@@ -11,7 +11,7 @@ base-table chunks.
 import pytest
 
 from _common import group_name, pkfk_dataset
-from repro.la.backend import ChunkedBackend
+from repro.core.shard import RowPartitioned
 from repro.ml import LogisticRegressionGD
 
 FEATURE_RATIOS = (0.5, 1, 2, 4)
@@ -25,7 +25,7 @@ class TestChunkedLogisticPKFK:
     def test_materialized_chunked(self, benchmark, feature_ratio):
         benchmark.group = group_name("table9", "logreg-chunked", f"FR{feature_ratio:g}")
         dataset = pkfk_dataset(TUPLE_RATIO, feature_ratio)
-        chunked = ChunkedBackend(CHUNK_ROWS).from_dense(dataset.materialized)
+        chunked = RowPartitioned.chunked(dataset.materialized, CHUNK_ROWS)
         model = LogisticRegressionGD(max_iter=ITERATIONS, step_size=1e-4)
         benchmark.pedantic(lambda: model.fit(chunked, dataset.target), rounds=2, iterations=1,
                            warmup_rounds=0)

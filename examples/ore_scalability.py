@@ -2,9 +2,9 @@
 
 The paper's scalability study runs logistic regression on Oracle R Enterprise,
 where every pass over the data is streamed through ``ore.rowapply``.  This
-example uses the library's chunked backend substitute -- a serial
-:class:`~repro.core.shard.RowPartitioned` of fixed-size row pieces (see
-docs/paper_map.md): the materialized version streams the wide join output one row
+example uses the library's chunked substitute --
+:meth:`~repro.core.shard.RowPartitioned.chunked`, a serial partition of
+fixed-size row pieces (see docs/paper_map.md): the materialized version streams the wide join output one row
 chunk at a time, while the factorized version works on the base-table matrices
 directly, so its runtime barely moves as the feature ratio or the join fan-out
 grows.
@@ -21,13 +21,13 @@ import time
 import numpy as np
 
 from repro.bench.reporting import format_table, print_report
+from repro.core.shard import RowPartitioned
 from repro.datasets.synthetic import (
     SyntheticMNConfig,
     SyntheticPKFKConfig,
     generate_mn,
     generate_pk_fk,
 )
-from repro.la.backend import ChunkedBackend
 from repro.ml import LogisticRegressionGD
 
 CHUNK_ROWS = 2_048
@@ -48,7 +48,7 @@ def pk_fk_study(feature_ratios=(0.5, 1, 2, 4)) -> list:
             tuple_ratio=10, feature_ratio=feature_ratio,
             num_attribute_rows=2_000, num_entity_features=20, seed=0)
         dataset = generate_pk_fk(config)
-        chunked = ChunkedBackend(CHUNK_ROWS).from_dense(dataset.materialized)
+        chunked = RowPartitioned.chunked(dataset.materialized, CHUNK_ROWS)
         materialized_seconds = timed_fit(chunked, dataset.target)
         factorized_seconds = timed_fit(dataset.normalized, dataset.target)
         rows.append([f"{feature_ratio:g}", f"{materialized_seconds:.3f}",
@@ -64,7 +64,7 @@ def mn_study(uniqueness_degrees=(0.5, 0.1, 0.02)) -> list:
         config = SyntheticMNConfig(num_rows=num_rows, num_features=30,
                                    domain_size=max(1, int(round(degree * num_rows))), seed=0)
         dataset = generate_mn(config)
-        chunked = ChunkedBackend(CHUNK_ROWS).from_dense(dataset.materialized)
+        chunked = RowPartitioned.chunked(dataset.materialized, CHUNK_ROWS)
         materialized_seconds = timed_fit(chunked, dataset.target)
         factorized_seconds = timed_fit(dataset.normalized, dataset.target)
         rows.append([f"{degree:g}", f"{dataset.output_rows}", f"{materialized_seconds:.3f}",

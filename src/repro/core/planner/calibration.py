@@ -228,7 +228,7 @@ def probe(repeats: int = 3) -> CalibrationProfile:
 
     # Fused gather rate: row-elements per second of the fused
     # gather-multiply-reduce kernel (best available set -- compiled when the
-    # [kernels] extra is installed, NumPy fancy indexing otherwise).  This is
+    # [kernels] extra is installed, the reference ``take`` gather otherwise).  This is
     # the rate the planner uses to price the per-row overhead passes of a
     # fused-backend candidate, replacing the primitive-chain indicator rate.
     from repro.la import kernels

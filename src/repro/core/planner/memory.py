@@ -31,12 +31,9 @@ from repro.la.types import is_indicator
 
 #: Bytes per dense float64 element.
 DENSE_ELEMENT_BYTES = 8
-#: Approximate bytes per stored non-zero of a CSR matrix (float64 value +
-#: int32/int64 column index, amortized indptr).
-SPARSE_NNZ_BYTES = 16
-#: Per-row overhead of slicing the (one-nonzero-per-row) indicator matrices
-#: when a factorized batch is cut out of the normalized matrix.
-INDICATOR_ROW_BYTES = SPARSE_NNZ_BYTES
+#: Per-row overhead of slicing an indicator when a factorized batch is cut
+#: out of the normalized matrix: one int64 code.
+INDICATOR_ROW_BYTES = np.dtype(np.int64).itemsize
 
 
 def matrix_nbytes(matrix) -> int:

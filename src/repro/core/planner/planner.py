@@ -588,9 +588,9 @@ class Planner:
             if dp.kind == "chunked":  # a real chunked operand: its own fan-out
                 fanout = float(dp.partitions)
             else:  # hypothetical chunked candidate for in-memory input
-                from repro.la.backend import ChunkedBackend
+                from repro.core.shard import fixed_bounds
 
-                fanout = float(ChunkedBackend(self.chunk_rows).partitions_for(dp.n_rows))
+                fanout = float(len(fixed_bounds(dp.n_rows, self.chunk_rows)))
         dispatch_s = total_ops * calls_per_op * fanout * profile.dispatch_overhead_s
         dispatch_s += scatter_calls * fanout * profile.sparse_dispatch_overhead_s
         if shards > 1:

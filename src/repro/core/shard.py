@@ -17,7 +17,7 @@ Tables 9 and 10): it visits a row partition one piece at a time.
   sliced, attribute matrices shared by reference, so every per-piece
   operator runs through the factorized rewrite rules unchanged).  Pieces
   come from a list (``NormalizedMatrix.shard()``,
-  :meth:`RowPartitioned.from_matrix`, the chunked and sharded backends) or
+  :meth:`RowPartitioned.from_matrix`, :meth:`RowPartitioned.chunked`) or
   from a lazy row-slice source (``NormalizedMatrix.stream()``,
   :meth:`RowPartitioned.streamed`) that produces each piece when an
   operator reaches it and holds at most one produced piece alive;
@@ -52,7 +52,7 @@ from repro.exceptions import NotSupportedError, ShapeError
 from repro.la import generic
 from repro.la import ops as la_ops
 from repro.la.parallel import ParallelExecutor, PoolSpec
-from repro.la.types import MatrixLike, ensure_2d, is_matrix_like, is_sparse, to_dense
+from repro.la.types import MatrixLike, ensure_2d, is_matrix_like, is_sparse, to_dense, to_sparse
 
 _SHARD_BUILDS = obs.REGISTRY.counter(
     "repro_shard_builds_total",
@@ -107,7 +107,7 @@ def shard_bounds(n_rows: int, n_shards: int) -> List[Tuple[int, int]]:
 def fixed_bounds(n_rows: int, piece_rows: int) -> List[Tuple[int, int]]:
     """Consecutive ``piece_rows``-row ranges (the last may be shorter).
 
-    The partition of the chunked backend and of a lazy source; like
+    The partition of :meth:`RowPartitioned.chunked` and of a lazy source; like
     :func:`shard_bounds`, a zero-row matrix yields one empty piece.
     """
     if piece_rows < 1:
@@ -324,6 +324,20 @@ class RowPartitioned:
                               pool=pool)
         _SHARD_BUILDS.labels(kind="matrix").inc()
         return partitioned
+
+    @classmethod
+    def chunked(cls, matrix: MatrixLike, chunk_rows: int) -> "RowPartitioned":
+        """ORE-style out-of-core storage: *chunk_rows*-row pieces, serial executor.
+
+        Dense input is stored as float64 and sparse input as float64 CSR, the
+        layout of the Table 9 / Table 10 scalability experiments.
+        """
+        if is_sparse(matrix):
+            matrix = to_sparse(matrix, "csr").astype(np.float64)
+        else:
+            matrix = np.asarray(matrix, dtype=np.float64)
+        return cls([matrix[start:stop, :] for start, stop
+                    in fixed_bounds(matrix.shape[0], chunk_rows)], pool="serial")
 
     @classmethod
     def from_normalized(cls, source, n_shards: int, pool: PoolSpec = None

@@ -11,15 +11,13 @@ It provides:
   NumPy arrays and SciPy sparse matrices.  The Morpheus rewrite rules are
   expressed exclusively in terms of these primitives, which is what gives the
   framework *closure*: a rewritten operator is just another LA expression.
-* :mod:`repro.la.backend` -- a small backend abstraction
-  (:class:`DenseBackend`, :class:`SparseBackend`, :class:`ChunkedBackend`,
-  :class:`ShardedBackend`) mirroring the paper's claim that Morpheus can sit
-  on top of any LA system.  The chunked backend emulates Oracle R
-  Enterprise's ``ore.rowapply`` execution model for the scalability
-  experiments (Tables 9 and 10) with a serial
-  :class:`~repro.core.shard.RowPartitioned`.
+* :mod:`repro.la.kernels` -- the named kernels the rewrite rules call, each
+  with one NumPy body (the ``reference`` primitive chain) and, with the
+  optional ``[kernels]`` extra, a compiled ``numba`` variant.
 * :mod:`repro.la.parallel` -- worker pools and the fan-out executor behind
-  row-partitioned execution.
+  row-partitioned execution (:class:`~repro.core.shard.RowPartitioned`,
+  whose :meth:`~repro.core.shard.RowPartitioned.chunked` storage emulates
+  Oracle R Enterprise's ``ore.rowapply`` for Tables 9 and 10).
 """
 
 from repro.la.types import (
@@ -50,14 +48,6 @@ from repro.la.ops import (
     nnz,
     row_min,
     indicator_from_labels,
-)
-from repro.la.backend import (
-    Backend,
-    DenseBackend,
-    SparseBackend,
-    ChunkedBackend,
-    ShardedBackend,
-    get_backend,
 )
 from repro.la.parallel import (
     ExecutorPool,
@@ -95,12 +85,6 @@ __all__ = [
     "nnz",
     "row_min",
     "indicator_from_labels",
-    "Backend",
-    "DenseBackend",
-    "SparseBackend",
-    "ChunkedBackend",
-    "ShardedBackend",
-    "get_backend",
     "WorkerPool",
     "SerialPool",
     "ThreadPool",

@@ -17,6 +17,7 @@ product                 code-space form
 ``X @ K``               ``bincount(codes, X[r, :])``   (scatter)
 ``X @ K^T``             ``X[:, codes]``               (gather)
 ``colSums(K)``          ``bincount(codes)``
+``K_i^T @ K_j``         ``bincount(codes_i * n_j + codes_j)``  (crossing)
 ======================  ==========================================
 
 Results keep the data operand's floating dtype (the stored ones are
@@ -25,8 +26,9 @@ for a contiguous range -- and a multi-hop snowflake path composes to one
 code vector ``c_h[... c_2[c_1]]``.  Sparse matrices appear only at the
 edges: :meth:`CodeIndicator.tocsr` / :meth:`CodeIndicator.toarray` for
 materialization and interop, and sparse results for a column selection
-``K[:, cols]`` and for products with other sparse matrices, built from the
-codes without forming ``K`` as CSR.
+``K[:, cols]``, for products with other sparse matrices and for a crossing
+too wide to histogram densely, built from the codes without forming ``K`` as
+CSR.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import IndicatorError, ShapeError
+
+#: A crossing ``K_i^T K_j`` is a dense code-pair histogram while it has at
+#: most this many cells per joined row; wider ones are sparse, because the
+#: dense matrix would dwarf the join itself.
+_CROSSING_DENSITY_LIMIT = 16
 
 
 def _out_dtype(dtype: np.dtype) -> np.dtype:
@@ -194,21 +201,23 @@ class CodeIndicator:
         """``scipy.sparse``-style sums (2-D row/column results)."""
         if axis is None:
             return float(self.codes.shape[0])
+        if axis not in (0, 1):
+            raise ValueError("axis must be None, 0 or 1")
         # K's column sums count each code and its row sums are all ones;
         # K^T swaps the two.
-        counts = np.bincount(self.codes, minlength=self.n_cols).astype(np.float64)
-        ones = np.ones(self.codes.shape[0])
-        col_sums, row_sums = (ones, counts) if self.transposed else (counts, ones)
-        if axis == 0:
-            return col_sums.reshape(1, -1)
-        if axis == 1:
-            return row_sums.reshape(-1, 1)
-        raise ValueError("axis must be None, 0 or 1")
+        if (axis == 0) == self.transposed:
+            sums = np.ones(self.codes.shape[0])
+        else:
+            sums = np.bincount(self.codes, minlength=self.n_cols).astype(np.float64)
+        return sums.reshape(1, -1) if axis == 0 else sums.reshape(-1, 1)
 
     # -- products ----------------------------------------------------------------
 
     def __matmul__(self, other):
         if isinstance(other, CodeIndicator):
+            if self.transposed and not other.transposed:
+                self._check_inner(self.shape, other.shape)
+                return _crossing(self.codes, other.codes, self.n_cols, other.n_cols)
             return self.tocsr() @ other.tocsr()
         if sp.issparse(other):
             self._check_inner(self.shape, other.shape)
@@ -249,7 +258,7 @@ class CodeIndicator:
         self._check_inner(x.shape, self.shape)
         dtype = _out_dtype(x.dtype)
         if self.transposed:
-            out = x[:, self.codes]
+            out = x.take(self.codes, axis=1)
         else:
             rows = np.ascontiguousarray(x, dtype=np.float64)
             out = scatter_columns(rows, self.codes, self.n_cols)
@@ -262,6 +271,20 @@ class CodeIndicator:
             raise ShapeError(
                 f"matmul: inner dimensions do not agree {a_shape} @ {b_shape}"
             )
+
+
+def _crossing(codes_i: np.ndarray, codes_j: np.ndarray, n_i: int, n_j: int):
+    """``K_i^T K_j``: how many rows pair code ``a`` of ``K_i`` with code ``b`` of ``K_j``.
+
+    A dense float64 ``bincount`` histogram of the code pairs while it has at
+    most :data:`_CROSSING_DENSITY_LIMIT` cells per row, else a CSR matrix of
+    the pairs (duplicates summed).
+    """
+    if n_i * n_j <= _CROSSING_DENSITY_LIMIT * max(codes_i.shape[0], 1):
+        counts = np.bincount(codes_i * n_j + codes_j, minlength=n_i * n_j)
+        return counts.astype(np.float64).reshape(n_i, n_j)
+    return sp.csr_matrix((np.ones(codes_i.shape[0]), (codes_i, codes_j)),
+                         shape=(n_i, n_j))
 
 
 def compose(indicators) -> CodeIndicator:

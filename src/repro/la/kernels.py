@@ -27,43 +27,37 @@ kernel                  fused shape
 ``logistic_sgd_step``   fused score/clip/sigmoid-step         (streaming)
 ======================  =====================================================
 
-Three implementation sets live behind the registry:
+Two implementation sets live behind the registry:
 
-* ``"reference"`` -- the primitive chains exactly as the rewrite rules have
-  always emitted them (``matmul``/``colsums``/... from :mod:`repro.la.ops`).
-  This set *is* the traced algebra: when golden-trace recording is active the
-  dispatcher always routes here, so the operator traces are byte-identical to
-  the pre-kernel layer by construction.
-* ``"numpy"`` -- fused pure-NumPy passes over indicator codes (gathers are
-  fancy indexing, scatters are ``bincount``); always available, never slower
-  than the reference chains, and the automatic fallback when Numba is absent.
-  ``partial_scores``, ``sgd_step`` and ``logistic_sgd_step`` are plain NumPy
-  already, so this set registers their reference bodies unchanged.
+* ``"reference"`` -- the primitive chains exactly as the rewrite rules emit
+  them (``matmul``/``colsums``/... from :mod:`repro.la.ops`).  The chains
+  reach :class:`~repro.la.indicator.CodeIndicator`'s own products, so every
+  indicator step is already a single pass over the codes: ``K @ X`` a
+  ``take`` gather, ``X @ K`` and ``colSums(K)`` ``bincount`` scatters, and
+  the crossing ``K_i^T K_j`` a code-pair histogram.  This set *is* the traced
+  algebra -- when golden-trace recording is active the dispatcher always
+  routes here, so the operator traces are byte-identical by construction --
+  and it is the default when Numba is absent.
 * ``"numba"`` -- JIT-compiled single-pass loops from
   :mod:`repro.la._numba_kernels`; only offered when the optional ``[kernels]``
-  extra (Numba) is installed.  Kernels without a compiled variant fall back to
-  the ``"numpy"`` set per kernel.
+  extra (Numba) is installed, and then the default.  A kernel without a
+  compiled variant falls back to its reference body.
 
-The process-wide set is pinned by ``REPRO_KERNELS=reference|numpy|numba``
-at first use, switched by :func:`set_active`, and defaults to
-:func:`best_available` (like BLAS, the fastest installed implementation wins
-unless the caller says otherwise).  :func:`using` overrides it only in the
-current context -- a ``contextvars.ContextVar``, the mechanism obs spans use
--- so one thread's ``using("reference")`` never reroutes another thread,
-while shard workers, which run in copies of the caller's context, follow it.
+:func:`using` selects a set for the current context only -- a
+``contextvars.ContextVar``, the mechanism obs spans use -- so one thread's
+``using("reference")`` never reroutes another thread, while shard workers,
+which run in copies of the caller's context, follow it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.la.indicator import scatter_columns
 from repro.la.ops import (
     colsums,
     crossprod,
@@ -94,7 +88,6 @@ __all__ = [
     "scatter_crossprod",
     "scatter_right",
     "scatter_total",
-    "set_active",
     "sgd_step",
     "using",
 ]
@@ -105,11 +98,6 @@ KERNEL_NAMES = (
     "scatter_total", "gather_dot", "partial_scores", "sgd_step",
     "logistic_sgd_step",
 )
-
-#: When a fused cross_block would materialize a code-pair count matrix this
-#: many times larger than the join itself, the sparse reference formula wins.
-_CROSSING_DENSITY_LIMIT = 16
-
 
 # ---------------------------------------------------------------------------
 # Lazy late-bound helper (repro.ml imports repro.la, not vice versa at module
@@ -229,7 +217,7 @@ def _ref_gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
                     code_rows: Sequence[np.ndarray]) -> np.ndarray:
     out = np.array(base, dtype=np.float64)
     for partial, rows in zip(partials, code_rows):
-        out += partial[rows, :]
+        out += partial.take(np.asarray(rows, dtype=np.intp), axis=0)
     return out
 
 
@@ -257,97 +245,6 @@ def _ref_logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
         p = y / (1.0 + np.exp(_clip(y * scores)))
     w = w + step_size * _dense_result(data.T @ p)
     return w, scores
-
-
-# ---------------------------------------------------------------------------
-# Fused NumPy implementations: single passes over indicator codes
-# ---------------------------------------------------------------------------
-
-def _np_gather_add(out: np.ndarray, indicator: MatrixLike,
-                   attribute: MatrixLike, block: np.ndarray) -> np.ndarray:
-    small = np.ascontiguousarray(to_dense(matmul(attribute, block)))
-    # ndarray.take on a contiguous array is the fast gather path -- it beats
-    # both generic fancy indexing and the one-nnz-per-row CSR matmul.
-    out += small.take(indicator.codes, axis=0)
-    return out
-
-
-def _np_scatter_right(x: MatrixLike, indicator: MatrixLike,
-                      attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    if not isinstance(x, np.ndarray):
-        return _ref_scatter_right(x, indicator, attribute, dtype)
-    xk = scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
-                         indicator.codes, indicator.shape[1])
-    return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
-
-
-def _np_scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
-                          dtype: np.dtype) -> np.ndarray:
-    counts = np.bincount(indicator.codes, minlength=indicator.shape[1])
-    if isinstance(attribute, np.ndarray):
-        weights = counts.astype(dtype)
-        return np.asarray((attribute * weights[:, None]).T @ attribute, dtype=dtype)
-    scaled = diag_scale_rows(counts.astype(np.float64), attribute)
-    return np.asarray(to_dense(matmul(transpose(attribute), scaled)), dtype=dtype)
-
-
-def _np_cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
-                    attribute_i: MatrixLike, attribute_j: MatrixLike,
-                    dtype: np.dtype) -> np.ndarray:
-    ci, cj = indicator_i.codes, indicator_j.codes
-    ni, nj = indicator_i.shape[1], indicator_j.shape[1]
-    if ni * nj > _CROSSING_DENSITY_LIMIT * max(ci.size, 1):
-        # The dense code-pair histogram would dwarf the data; let the sparse
-        # K_i^T K_j product exploit its own structure instead.
-        return _ref_cross_block(indicator_i, indicator_j, attribute_i,
-                                attribute_j, dtype)
-    crossing = np.bincount(ci * nj + cj, minlength=ni * nj)
-    crossing = crossing.astype(np.float64).reshape(ni, nj)
-    inner = to_dense(matmul(crossing, attribute_j))
-    block = to_dense(matmul(transpose(attribute_i), inner))
-    return np.asarray(block, dtype=dtype)
-
-
-def _np_entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
-                           attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    if not isinstance(entity, np.ndarray):
-        return _ref_entity_cross_block(entity, indicator, attribute, dtype)
-    sk = scatter_columns(np.ascontiguousarray(entity.T, dtype=np.float64),
-                         indicator.codes, indicator.shape[1])
-    return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
-
-
-def _np_gather_gram(out: np.ndarray, indicator: MatrixLike,
-                    attribute: MatrixLike) -> np.ndarray:
-    inner = np.ascontiguousarray(to_dense(matmul(attribute, transpose(attribute))))
-    codes = indicator.codes
-    out += inner.take(codes, axis=0).take(codes, axis=1)
-    return out
-
-
-def _np_gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    rs = np.ascontiguousarray(rowsums(attribute), dtype=np.float64)
-    return rs.take(indicator.codes, axis=0)
-
-
-def _np_scatter_colsums(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    counts = np.bincount(indicator.codes, minlength=indicator.shape[1])
-    counts = counts.astype(np.float64).reshape(1, -1)
-    return np.asarray(to_dense(matmul(counts, attribute)), dtype=np.float64)
-
-
-def _np_scatter_total(indicator: MatrixLike, attribute: MatrixLike) -> float:
-    counts = np.bincount(indicator.codes, minlength=indicator.shape[1])
-    rs = np.asarray(rowsums(attribute), dtype=np.float64).ravel()
-    return float(counts.astype(np.float64) @ rs)
-
-
-def _np_gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
-                   code_rows: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array(base, dtype=np.float64)
-    for partial, rows in zip(partials, code_rows):
-        out += partial.take(np.asarray(rows, dtype=np.intp), axis=0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +349,6 @@ _IMPLS: Dict[str, Dict[str, Callable]] = {
         "sgd_step": _ref_sgd_step,
         "logistic_sgd_step": _ref_logistic_sgd_step,
     },
-    "numpy": {
-        "gather_add": _np_gather_add,
-        "scatter_right": _np_scatter_right,
-        "scatter_crossprod": _np_scatter_crossprod,
-        "cross_block": _np_cross_block,
-        "entity_cross_block": _np_entity_cross_block,
-        "gather_gram": _np_gather_gram,
-        "gather_rows": _np_gather_rows,
-        "scatter_colsums": _np_scatter_colsums,
-        "scatter_total": _np_scatter_total,
-        "gather_dot": _np_gather_dot,
-        "partial_scores": _ref_partial_scores,
-        "sgd_step": _ref_sgd_step,
-        "logistic_sgd_step": _ref_logistic_sgd_step,
-    },
     "numba": {
         "gather_add": _nb_gather_add,
         "scatter_right": _nb_scatter_right,
@@ -477,25 +359,20 @@ _IMPLS: Dict[str, Dict[str, Callable]] = {
     },
 }
 
-#: Process-wide set (``None`` until first resolved).
-_active: Optional[str] = None
-#: Per-context override installed by :func:`using`; ``None`` defers to
-#: :data:`_active`.
+#: Per-context set installed by :func:`using`; ``None`` defers to
+#: :func:`best_available`.
 _override: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
     "repro_kernel_set", default=None)
 
 
 def available_sets() -> Tuple[str, ...]:
     """The kernel sets that can be activated in this process."""
-    sets: List[str] = ["reference", "numpy"]
-    if compiled_available():
-        sets.append("numba")
-    return tuple(sets)
+    return ("reference", "numba") if compiled_available() else ("reference",)
 
 
 def best_available() -> str:
-    """The fastest installed set: ``"numba"`` when importable, else ``"numpy"``."""
-    return "numba" if compiled_available() else "numpy"
+    """The default set: ``"numba"`` when importable, else ``"reference"``."""
+    return "numba" if compiled_available() else "reference"
 
 
 def _validate_set(name: str) -> str:
@@ -511,28 +388,9 @@ def _validate_set(name: str) -> str:
     return name
 
 
-def _process_active() -> str:
-    global _active
-    if _active is None:
-        pinned = os.environ.get("REPRO_KERNELS", "").strip()
-        _active = _validate_set(pinned) if pinned else best_available()
-    return _active
-
-
 def active() -> str:
     """The kernel set active in the current context."""
-    return _override.get() or _active or _process_active()
-
-
-def set_active(name: str) -> str:
-    """Activate one kernel set process-wide; returns the previous one.
-
-    A :func:`using` block in the current context still takes precedence.
-    """
-    global _active
-    previous = _process_active()
-    _active = _validate_set(name)
-    return previous
+    return _override.get() or best_available()
 
 
 @contextlib.contextmanager
@@ -559,21 +417,17 @@ _FALLBACKS_TOTAL = obs.REGISTRY.counter(
     "Dispatches where the active set lacked the kernel and a fallback ran",
     labels=("kernel", "wanted", "used"),
 )
+_REFERENCE = _IMPLS["reference"]
 
 
 def _impl(name: str) -> Callable:
     if _tracing():
-        return _IMPLS["reference"][name]
+        return _REFERENCE[name]
     active_set = active()
-    impls = _IMPLS[active_set]
-    fn = impls.get(name)
+    fn = _IMPLS[active_set].get(name)
     resolved_set = active_set
     if fn is None:
-        fn = _IMPLS["numpy"].get(name)
-        resolved_set = "numpy"
-        if fn is None:
-            fn = _IMPLS["reference"][name]
-            resolved_set = "reference"
+        fn, resolved_set = _REFERENCE[name], "reference"
         if obs.enabled():
             _FALLBACKS_TOTAL.labels(
                 kernel=name, wanted=active_set, used=resolved_set
@@ -585,7 +439,7 @@ def _impl(name: str) -> Callable:
 
 def kernel_inventory() -> Dict[str, Tuple[str, ...]]:
     """Which sets implement each kernel (docs/diagnostics helper)."""
-    return {name: tuple(s for s in ("reference", "numpy", "numba")
+    return {name: tuple(s for s in ("reference", "numba")
                         if name in _IMPLS[s])
             for name in KERNEL_NAMES}
 

@@ -85,14 +85,15 @@ def matmul(a: MatrixLike, b: MatrixLike) -> MatrixLike:
     The result is dense whenever either operand is dense (matching NumPy and
     R semantics for mixed products), and sparse when both operands are sparse.
     """
+    # Code-vector indicators gather / scatter in code space and check the
+    # inner dimension themselves.
+    if isinstance(a, CodeIndicator):
+        return a @ ensure_2d(b)
+    if isinstance(b, CodeIndicator):
+        return b.__rmatmul__(ensure_2d(a))
     a2, b2 = ensure_2d(a), ensure_2d(b)
     if a2.shape[1] != b2.shape[0]:
         raise ShapeError(f"matmul: inner dimensions do not agree {a2.shape} @ {b2.shape}")
-    if is_indicator(a2):
-        # Code-vector indicators gather / scatter in code space.
-        return a2 @ b2
-    if is_indicator(b2):
-        return b2.__rmatmul__(a2)
     if is_sparse(a2) and is_sparse(b2):
         return a2 @ b2
     if is_sparse(a2):

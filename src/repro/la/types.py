@@ -62,6 +62,8 @@ def ensure_2d(x: MatrixLike) -> MatrixLike:
     Sparse matrices are always 2-D already.  Raises :class:`ShapeError` for
     inputs with more than two dimensions.
     """
+    if type(x) is np.ndarray and x.ndim == 2:
+        return x
     if is_sparse(x) or is_indicator(x):
         return x
     arr = np.asarray(x)
@@ -74,6 +76,8 @@ def ensure_2d(x: MatrixLike) -> MatrixLike:
 
 def to_dense(x: MatrixLike) -> np.ndarray:
     """Return a dense ``ndarray`` view/copy of *x*."""
+    if type(x) is np.ndarray:
+        return x
     if is_indicator(x):
         return x.toarray()
     if is_sparse(x):

@@ -7,6 +7,7 @@ from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.rewrite import multiplication
 from repro.exceptions import ShapeError
 from repro.la.ops import indicator_from_labels
+from repro.la.types import to_sparse
 
 
 def build_single_join(n_s: int, d_s: int, n_r: int, d_r: int, seed: int) -> NormalizedMatrix:
@@ -126,7 +127,8 @@ class TestNnzBounds:
         labels_b = np.concatenate([np.arange(n_rb), rng.integers(0, n_rb, size=n_s - n_rb)])
         k_a = indicator_from_labels(labels_a, num_columns=n_ra)
         k_b = indicator_from_labels(labels_b, num_columns=n_rb)
-        product = (k_a.T @ k_b).tocsr()
+        # A narrow crossing is a dense code-pair histogram; count its non-zeros.
+        product = to_sparse(k_a.T @ k_b)
         product.eliminate_zeros()
         assert product.nnz >= max(n_ra, n_rb)
         assert product.nnz <= n_s

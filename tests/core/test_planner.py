@@ -24,7 +24,6 @@ from repro.core.planner import (
     describe_data,
 )
 from repro.core.planner.workload import OperatorUse
-from repro.la.backend import backend_capabilities
 
 
 @pytest.fixture
@@ -357,19 +356,15 @@ class TestSurfaceIntegration:
         assert isinstance(plan, Plan)
         assert plan.data_summary["kind"] == "mn-normalized"
 
-    def test_backend_capabilities_registry(self):
-        caps = backend_capabilities()
-        assert set(caps) == {"dense", "sparse", "chunked", "sharded"}
-        assert caps["sharded"]["parallel"] is True
-        assert caps["chunked"]["out_of_core"] is True
-        assert caps["dense"]["parallel"] is False
-
     def test_backend_partitions_for(self):
-        from repro.la.backend import ChunkedBackend, DenseBackend, ShardedBackend
+        # The fan-out the planner prices for a chunked (fixed_bounds) and a
+        # sharded (shard_bounds, clamped to the row count) partition.
+        from repro.core.shard import RowPartitioned, fixed_bounds, shard_bounds
 
-        assert DenseBackend().partitions_for(10_000) == 1
-        assert ChunkedBackend(chunk_rows=100).partitions_for(250) == 3
-        assert ShardedBackend(n_shards=4).partitions_for(3) == 3
+        assert len(fixed_bounds(250, 100)) == 3
+        assert len(fixed_bounds(10_000, 10_000)) == 1
+        assert len(shard_bounds(3, 4)) == 3
+        assert RowPartitioned.chunked(np.ones((250, 2)), 100).num_pieces == 3
 
     def test_auto_engine_exposes_plan(self, redundant):
         from repro.ml.logistic_regression import LogisticRegressionGD
@@ -452,9 +447,9 @@ class TestSurfaceIntegration:
         assert plan.threshold_rule_choice in ("factorize", "materialize")
 
     def test_describe_data_chunked_operand(self):
-        from repro.la.backend import ChunkedBackend
+        from repro.core.shard import RowPartitioned
 
-        chunked = ChunkedBackend(chunk_rows=30).from_dense(np.ones((100, 4)))
+        chunked = RowPartitioned.chunked(np.ones((100, 4)), 30)
         profile = describe_data(chunked)
         assert profile.kind == "chunked"
         assert profile.layouts == (False,)
@@ -475,11 +470,11 @@ class TestSurfaceIntegration:
         assert profile.factorized_bytes == describe_data(normalized).factorized_bytes
 
     def test_chunked_operand_plan_reports_chunked_backend(self):
-        from repro.la.backend import ChunkedBackend
+        from repro.core.shard import RowPartitioned
 
         planner = Planner(calibration=CalibrationProfile.default(),
                           shard_candidates=(2, 4))
-        chunked = ChunkedBackend(chunk_rows=10).from_dense(np.ones((100, 4)))
+        chunked = RowPartitioned.chunked(np.ones((100, 4)), 10)
         plan = planner.plan(chunked, WorkloadDescriptor.logistic_regression(5))
         assert all(c.backend == "chunked" and c.n_shards == 1
                    for c in plan.candidates)
@@ -524,12 +519,12 @@ class TestSurfaceIntegration:
         # Chunked operands pass through shard_for_jobs unchanged, so a sharded
         # plan could never be realized: the resolver pins the shard axis and
         # the reported plan matches what actually runs.
-        from repro.la.backend import ChunkedBackend
+        from repro.core.shard import RowPartitioned
         from repro.ml.linear_regression import LinearRegressionGD
 
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((64, 5))
-        chunked = ChunkedBackend(chunk_rows=16).from_dense(dense)
+        chunked = RowPartitioned.chunked(dense, 16)
         y = rng.standard_normal(64)
         model = LinearRegressionGD(max_iter=3, step_size=1e-3, engine="auto")
         model.planner = Planner(calibration=CalibrationProfile.default(),

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.shard import RowPartitioned, fixed_bounds, row_apply, shard_bounds
 from repro.exceptions import ShapeError
-from repro.la.backend import ChunkedBackend, ShardedBackend, get_backend
 from repro.la.parallel import (
     ParallelExecutor,
     ProcessPool,
@@ -135,6 +134,17 @@ class TestShardedMatrix:
         assert sharded.shape == dense_matrix.shape
         assert sharded.num_pieces == 4
         assert np.array_equal(sharded.to_dense(), dense_matrix)
+
+    def test_from_dense_and_sparse(self, rng):
+        dense = RowPartitioned.from_matrix(rng.standard_normal((10, 3)), 2, pool="serial")
+        assert isinstance(dense, RowPartitioned) and dense.num_pieces == 2
+        sparse = RowPartitioned.from_matrix(
+            sp.random(10, 3, density=0.4, random_state=1, format="csr"), 2, pool="serial")
+        assert isinstance(sparse, RowPartitioned) and sparse.num_pieces == 2
+
+    def test_invalid_shard_count(self, dense_matrix):
+        with pytest.raises(ValueError):
+            RowPartitioned.from_matrix(dense_matrix, 0)
 
     def test_operators_match_dense(self, dense_matrix, rng):
         sharded = RowPartitioned.from_matrix(dense_matrix, 3, pool="thread")
@@ -421,38 +431,20 @@ class TestShardedNormalizedMatrix:
 
 class TestRowApplyParallel:
     def test_serial_default_unchanged(self, rng):
-        chunked = ChunkedBackend(6).from_dense(rng.standard_normal((20, 3)))
+        chunked = RowPartitioned.chunked(rng.standard_normal((20, 3)), 6)
         results = row_apply(chunked, lambda c: c.sum())
         assert len(results) == chunked.num_pieces
 
     def test_parallel_pool_matches_serial(self, rng):
         matrix = rng.standard_normal((20, 3))
-        chunked = ChunkedBackend(6).from_dense(matrix)
+        chunked = RowPartitioned.chunked(matrix, 6)
         serial = row_apply(chunked, lambda c: float(c.sum()))
         threaded = row_apply(chunked, lambda c: float(c.sum()), pool="thread")
         assert serial == threaded
 
     def test_bound_method(self, rng):
-        chunked = ChunkedBackend(3).from_dense(rng.standard_normal((9, 2)))
+        chunked = RowPartitioned.chunked(rng.standard_normal((9, 2)), 3)
         assert row_apply(chunked, lambda c: c.shape[0], pool=2) == [3, 3, 3]
-
-
-class TestShardedBackend:
-    def test_registry_lookup(self):
-        backend = get_backend("sharded", n_shards=3)
-        assert isinstance(backend, ShardedBackend)
-        assert backend.n_shards == 3
-
-    def test_from_dense_and_sparse(self, rng):
-        backend = ShardedBackend(n_shards=2, pool="serial")
-        dense = backend.from_dense(rng.standard_normal((10, 3)))
-        assert isinstance(dense, RowPartitioned) and dense.num_pieces == 2
-        sparse = backend.from_sparse(sp.random(10, 3, density=0.4, random_state=1))
-        assert isinstance(sparse, RowPartitioned)
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedBackend(n_shards=0)
 
 
 class TestShardedOperandComposition:

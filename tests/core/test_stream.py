@@ -8,6 +8,7 @@ from repro.core import NormalizedBatchIterator, RowPartitioned
 from repro.core import shard as shard_module
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
+from repro.core.planner import memory as memory_model
 from repro.core.planner.memory import (
     batch_rows_for_budget,
     batch_rows_for_dims,
@@ -342,6 +343,14 @@ class TestMemoryModel:
         with pytest.raises(ValueError):
             batch_rows_for_budget(normalized, 0)
 
+    def test_batch_rows_for_dims_two_join_star(self):
+        # A row of a 2-join star costs its 30 dense float64 columns plus one
+        # int64 code per indicator: 30 * 8 + 2 * 8 = 256 bytes.
+        assert memory_model.INDICATOR_ROW_BYTES == 8
+        assert batch_rows_for_dims(10_000, 30, 2, memory_budget=25_600) == 100
+        assert batch_rows_for_dims(10_000, 30, 2, memory_budget=25_599) == 99
+        assert batch_rows_for_dims(50, 30, 2, memory_budget=25_600) == 50
+
     def test_batch_rows_for_dims_without_row_count(self):
         # Streaming CSV ingestion sizes chunks before knowing the row count.
         rows = batch_rows_for_dims(0, 10, 1, memory_budget=8000)
@@ -396,10 +405,8 @@ class TestPlannerMemoryDimension:
     def test_unstreamable_operand_over_budget_raises(self, rng):
         dense = rng.standard_normal((64, 8))
         chunked_planner = self._planner(8)  # 1 element worth of budget
-        from repro.la.backend import ChunkedBackend
-
         with pytest.raises(PlanningError):
-            chunked_planner.plan(ChunkedBackend(16).from_dense(dense))
+            chunked_planner.plan(RowPartitioned.chunked(dense, 16))
 
     def test_plan_json_round_trips_batch_rows(self, single_join_dense):
         import json

@@ -1,4 +1,4 @@
-"""The ORE-style chunked backend: a serial :class:`RowPartitioned` of fixed-size pieces."""
+"""ORE-style chunked storage: :meth:`RowPartitioned.chunked`, serial fixed-size pieces."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,6 @@ import scipy.sparse as sp
 
 from repro.core.shard import RowPartitioned, row_apply
 from repro.exceptions import ShapeError
-from repro.la.backend import ChunkedBackend, get_backend
-
-
-def chunk(matrix, chunk_rows):
-    """The chunked backend's row partition of *matrix*."""
-    backend = ChunkedBackend(chunk_rows)
-    return backend.from_sparse(matrix) if sp.issparse(matrix) else backend.from_dense(matrix)
 
 
 @pytest.fixture
@@ -22,7 +15,7 @@ def dense_matrix():
 
 @pytest.fixture
 def chunked(dense_matrix):
-    return chunk(dense_matrix, chunk_rows=6)
+    return RowPartitioned.chunked(dense_matrix, chunk_rows=6)
 
 
 class TestConstruction:
@@ -41,7 +34,7 @@ class TestConstruction:
 
     def test_sparse_chunks(self):
         x = sp.random(20, 4, density=0.3, random_state=1, format="csr")
-        chunked = chunk(x, 7)
+        chunked = RowPartitioned.chunked(x, 7)
         assert sp.issparse(chunked.materialize())
         assert np.allclose(chunked.to_dense(), x.toarray())
 
@@ -55,7 +48,21 @@ class TestConstruction:
 
     def test_invalid_chunk_rows(self, dense_matrix):
         with pytest.raises(ValueError):
-            ChunkedBackend(0)
+            RowPartitioned.chunked(dense_matrix, 0)
+
+    def test_from_dense_returns_chunked(self):
+        out = RowPartitioned.chunked(np.ones((10, 2), dtype=np.int64), chunk_rows=4)
+        assert isinstance(out, RowPartitioned)
+        assert out.num_pieces == 3
+        assert out.executor.pool.name == "serial"
+        assert all(p.dtype == np.float64 for p in out.pieces)
+
+    def test_from_sparse_returns_chunked(self):
+        out = RowPartitioned.chunked(sp.eye(12, format="coo", dtype=np.int64), chunk_rows=5)
+        assert isinstance(out, RowPartitioned)
+        assert out.shape == (12, 12)
+        assert all(sp.issparse(p) and p.format == "csr" and p.dtype == np.float64
+                   for p in out.pieces)
 
     def test_iteration_yields_chunks(self, chunked):
         assert sum(c.shape[0] for c in chunked.pieces) == 23
@@ -148,8 +155,7 @@ class TestWrongShapeOperands:
 
     @pytest.fixture
     def backend_chunked(self):
-        backend = get_backend("chunked", chunk_rows=4)
-        return backend.from_dense(np.arange(24.0).reshape(8, 3))
+        return RowPartitioned.chunked(np.arange(24.0).reshape(8, 3), chunk_rows=4)
 
     def test_chunk_sized_operand_is_rejected(self, backend_chunked):
         with pytest.raises(ShapeError):

@@ -3,8 +3,8 @@
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.shard import RowPartitioned
 from repro.la import generic
-from repro.la.backend import ChunkedBackend
 
 
 class TestDispatchOnPlainMatrices:
@@ -80,7 +80,7 @@ class TestDispatchOnNormalizedMatrix:
 class TestDispatchOnChunkedMatrix:
     def setup_method(self):
         self.dense = np.random.default_rng(6).standard_normal((17, 3))
-        self.chunked = ChunkedBackend(5).from_dense(self.dense)
+        self.chunked = RowPartitioned.chunked(self.dense, 5)
 
     def test_rowsums(self):
         assert np.allclose(generic.rowsums(self.chunked).ravel(), self.dense.sum(axis=1))

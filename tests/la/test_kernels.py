@@ -3,15 +3,17 @@
 The fused kernels (:mod:`repro.la.kernels`) are the execution layer behind
 every factorized rewrite, so their contract is strict:
 
-* every implementation set (``reference`` primitive chains, vectorized
-  ``numpy``, compiled ``numba`` when installed) computes the same values on
+* every implementation set (``reference`` primitive chains, compiled
+  ``numba`` when installed) computes the same values on
   star, M:N and snowflake schemas, dense and sparse bases, float32 and
   float64, empty attribute tables and zero-row batches;
 * the golden operator traces are byte-identical whichever set is active --
   tracing always routes through the reference primitive chains;
 * operand dtypes survive the rewrite layer (the float32 round-trip pin);
 * ``indicator_codes`` returns the codes an indicator is stored as, and the
-  ``numpy`` set implements every kernel (no fallback on the default path).
+  default set runs a streamed fit and a serving batch without a fallback;
+* the crossing ``K_i^T K_j`` the reference chains reach equals the dense
+  product whichever side of the density rule it lands on.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.indicator import indicator_codes
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.la import kernels
+from repro.la.indicator import _CROSSING_DENSITY_LIMIT, CodeIndicator
 from repro.la.ops import indicator_from_labels
 from repro.la.parallel import ParallelExecutor
 from repro.relational.join import chained_indicator
@@ -268,19 +271,13 @@ class TestDtypePreservation:
 class TestRegistry:
     def test_available_sets(self):
         sets = kernels.available_sets()
-        assert "reference" in sets and "numpy" in sets
-        assert ("numba" in sets) == kernels.compiled_available()
+        assert sets == (("reference", "numba") if kernels.compiled_available()
+                        else ("reference",))
 
     def test_best_available_prefers_compiled(self):
         best = kernels.best_available()
-        assert best == ("numba" if kernels.compiled_available() else "numpy")
-
-    def test_set_active_returns_previous_and_restores(self):
-        previous = kernels.set_active("reference")
-        try:
-            assert kernels.active() == "reference"
-        finally:
-            kernels.set_active(previous)
+        assert best == ("numba" if kernels.compiled_available() else "reference")
+        assert kernels.active() == best
 
     def test_using_restores_on_exception(self):
         before = kernels.active()
@@ -289,10 +286,15 @@ class TestRegistry:
                 raise RuntimeError("boom")
         assert kernels.active() == before
 
-    def test_using_is_local_to_its_thread(self):
+    def test_using_is_local_to_its_thread(self, monkeypatch):
         """One thread's using("reference") never reroutes another thread."""
+        def fake_gather_add(*args):
+            raise AssertionError("never called")
+
+        monkeypatch.setitem(kernels._IMPLS, "fake", {"gather_add": fake_gather_add})
+        monkeypatch.setattr(kernels, "best_available", lambda: "fake")
         default = kernels.active()
-        assert default != "reference"
+        assert default == "fake"
         entered, release = threading.Event(), threading.Event()
         seen = {}
 
@@ -323,27 +325,22 @@ class TestRegistry:
             kernels.active()] * 4
 
     def test_unknown_set_rejected(self):
-        with pytest.raises(Exception):
-            kernels.set_active("fortran")
+        with pytest.raises(ValueError):
+            with kernels.using("fortran"):
+                pass
 
     @pytest.mark.skipif(kernels.compiled_available(), reason="numba installed")
     def test_numba_set_unavailable_mentions_extra(self):
         with pytest.raises(RuntimeError, match=r"\[kernels\]"):
-            kernels.set_active("numba")
-
-    def test_env_override_selects_set(self, monkeypatch):
-        # The env pin is read once, on first resolution -- clear the resolved
-        # set (and restore it afterwards) to exercise that path.
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        monkeypatch.setattr(kernels, "_active", None)
-        assert kernels.active() == "reference"
+            with kernels.using("numba"):
+                pass
 
     def test_inventory_covers_every_kernel(self):
         inventory = kernels.kernel_inventory()
         assert set(inventory) == set(kernels.KERNEL_NAMES)
-        for name, sets in inventory.items():
-            assert "reference" in sets, f"{name} lacks a reference implementation"
-            assert "numpy" in sets, f"{name} would fall back from the numpy set"
+        assert all("reference" in sets for sets in inventory.values())
+        assert set(kernels._IMPLS["reference"]) == set(kernels.KERNEL_NAMES)
+        assert set(kernels._IMPLS["numba"]) <= set(kernels.KERNEL_NAMES)
 
 
 # -- indicator-code memoization -----------------------------------------------
@@ -378,7 +375,7 @@ class TestCodesMemoization:
         assert indicator_codes(indicator) is indicator_codes(indicator)
 
 
-# -- the default numpy set implements every kernel ------------------------------
+# -- the default set runs the streaming and serving kernels without fallback ---
 
 class TestNoFallback:
     @pytest.fixture(autouse=True)
@@ -399,17 +396,44 @@ class TestNoFallback:
         matrix = _star(0)
         rng = np.random.default_rng(0)
         y = rng.standard_normal((matrix.shape[0], 1))
-        with kernels.using("numpy"):
-            LinearRegressionGD(max_iter=3, step_size=1e-3, solver="sgd",
-                               batch_size=7).fit(matrix, y)
-            LogisticRegressionGD(max_iter=3, solver="sgd", batch_size=7).fit(
-                matrix, np.sign(y) + (y == 0))
-            scorer = FactorizedScorer(
-                ServingExport("linear_regression",
-                              rng.standard_normal((matrix.shape[1], 1))), matrix)
-            scorer.score_rows(np.arange(matrix.shape[0]))
+        LinearRegressionGD(max_iter=3, step_size=1e-3, solver="sgd",
+                           batch_size=7).fit(matrix, y)
+        LogisticRegressionGD(max_iter=3, solver="sgd", batch_size=7).fit(
+            matrix, np.sign(y) + (y == 0))
+        scorer = FactorizedScorer(
+            ServingExport("linear_regression",
+                          rng.standard_normal((matrix.shape[1], 1))), matrix)
+        scorer.score_rows(np.arange(matrix.shape[0]))
         dispatched = obs.REGISTRY.get("repro_kernel_dispatch_total").series()
         kernels_run = {labels[0] for labels, _ in dispatched}
         assert {"sgd_step", "logistic_sgd_step", "partial_scores",
                 "gather_dot"} <= kernels_run
         assert self._fallbacks() == 0
+
+
+# -- the crossing K_i^T K_j in code space ----------------------------------------
+
+def _crossing_pair(n_rows: int, n_i: int, n_j: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return (CodeIndicator(rng.integers(0, n_i, size=n_rows), n_i),
+            CodeIndicator(rng.integers(0, n_j, size=n_rows), n_j))
+
+
+@pytest.mark.parametrize("n_rows,n_i,n_j,dense", [
+    (40, 5, 4, True),                                 # well inside the rule
+    (10, 16, 10, True),                               # n_i n_j == limit * n: dense
+    (10, 161, 1, False),                              # one cell past the boundary
+    (30, 50, 40, False),                              # far past it
+    (0, 2, 3, True),                                  # zero rows, tiny crossing
+    (0, 20, 30, False),                               # zero rows, wide crossing
+])
+def test_crossing_equals_dense_product(n_rows, n_i, n_j, dense):
+    assert (n_i * n_j <= _CROSSING_DENSITY_LIMIT * max(n_rows, 1)) == dense
+    k_i, k_j = _crossing_pair(n_rows, n_i, n_j)
+    crossing = k_i.T @ k_j
+    assert isinstance(crossing, np.ndarray) == dense
+    assert sp.issparse(crossing) == (not dense)
+    expected = k_i.toarray().T @ k_j.toarray()
+    got = crossing if dense else crossing.toarray()
+    assert got.shape == (n_i, n_j) and got.dtype == np.float64
+    np.testing.assert_array_equal(got, expected)

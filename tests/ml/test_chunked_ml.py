@@ -8,7 +8,7 @@ serial RowPartitioned and produces the same model as over the in-memory matrix.
 import numpy as np
 import pytest
 
-from repro.la.backend import ChunkedBackend
+from repro.core.shard import RowPartitioned
 from repro.ml.linear_regression import LinearRegressionGD, LinearRegressionNE
 from repro.ml.logistic_regression import LogisticRegressionGD
 
@@ -17,7 +17,7 @@ from repro.ml.logistic_regression import LogisticRegressionGD
 def chunked_pair(rng):
     dense = rng.standard_normal((64, 6))
     target = np.where(dense @ rng.standard_normal((6, 1)) > 0, 1.0, -1.0)
-    return dense, ChunkedBackend(10).from_dense(dense), target
+    return dense, RowPartitioned.chunked(dense, 10), target
 
 
 class TestLogisticOverChunked:

@@ -173,10 +173,10 @@ def reference_lazy_linreg(data, target, n_jobs: int, track_history: bool):
 
 
 def _chunked_pkfk():
-    from repro.la.backend import ChunkedBackend
+    from repro.core.shard import RowPartitioned
 
     normalized, target = make_pkfk()
-    return ChunkedBackend(32).from_dense(np.asarray(normalized.materialize())), target
+    return RowPartitioned.chunked(np.asarray(normalized.materialize()), 32), target
 
 
 #: name -> (builder of a fresh data matrix and target, n_jobs)
@@ -210,10 +210,10 @@ class TestLazyEngineBehaviour:
         # The chunked (out-of-core) backend runs through the lazy layer too:
         # as_lazy attaches a per-object cache to the row partition itself.
         from repro.core.lazy import as_lazy
-        from repro.la.backend import ChunkedBackend
+        from repro.core.shard import RowPartitioned
 
         normalized, target = make_pkfk()
-        chunked = ChunkedBackend(32).from_dense(np.asarray(normalized.materialize()))
+        chunked = RowPartitioned.chunked(np.asarray(normalized.materialize()), 32)
         eager = LinearRegressionGD(max_iter=ITERS, step_size=1e-4).fit(chunked, target)
         lazy = assert_linreg_cache_contract(lambda: LinearRegressionGD(
             max_iter=ITERS, step_size=1e-4, engine="lazy").fit(chunked, target))

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.shard import RowPartitioned
-from repro.la.backend import ChunkedBackend
 from repro.ml.base import effective_n_jobs, shard_for_jobs, validate_n_jobs
 from repro.ml.gnmf import GNMF
 from repro.ml.kmeans import KMeans
@@ -75,7 +74,7 @@ class TestShardForJobs:
 
     def test_chunked_operand_passes_through(self, regression_problem):
         _, materialized, _ = regression_problem
-        chunked = ChunkedBackend(16).from_dense(materialized)
+        chunked = RowPartitioned.chunked(materialized, 16)
         assert shard_for_jobs(chunked, 4) is chunked
 
     def test_lazy_view_is_resharded_keeping_its_cache(self, regression_problem):

@@ -19,9 +19,9 @@ reference computed on the materialized ``T`` to within ``1e-8``:
   :class:`RowPartitioned` over a lazy row-slice source (random batch size),
   whose operators visit the factorized operand one batch at a time;
 * ``fused``               -- the factorized rewrites executed with the best
-  available fused kernel set forced active (:mod:`repro.la.kernels`): the
+  available kernel set forced active (:mod:`repro.la.kernels`): the
   compiled Numba set when the ``[kernels]`` extra is installed, the
-  vectorized NumPy set otherwise.  Either way the run proves the fused
+  reference chains otherwise.  Either way the run proves the kernel
   dispatch path end to end.
 
 Each backend sees ``CASES_PER_BACKEND`` generated cases (>= 200), split into
@@ -42,7 +42,6 @@ import scipy.sparse as sp
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.shard import RowPartitioned
-from repro.la.backend import ChunkedBackend
 from repro.la.ops import indicator_from_labels
 
 ATOL = 1e-8
@@ -184,7 +183,7 @@ def build_view(backend: str, case: Case, rng: np.random.Generator):
         return case.normalized
     if backend == "chunked":
         chunk_rows = int(rng.integers(1, case.dense.shape[0] + 1))
-        return ChunkedBackend(chunk_rows).from_dense(case.dense)
+        return RowPartitioned.chunked(case.dense, chunk_rows)
     if backend == "sharded":
         n_shards = int(rng.integers(1, 7))
         pool = "thread" if rng.random() < 0.3 else "serial"
